@@ -164,9 +164,15 @@ func TestDaySessionMatchesInProcessEngines(t *testing.T) {
 				for i := range backends {
 					backends[i].ids = createAdSet(t, backends[i].p, tc.obj, backends[i].ca, tc.specs)
 				}
+				from := backends[0].p.ServedLogSize()
 				runCoordinatedDay(t, backends[:shards], tc.runSeed)
 				if got := mergedSessionDigest(t, backends[:shards]); got != want {
 					t.Errorf("coordinated %d-shard day diverged from RunDayWorkers(workers=%d):\n got %s\nwant %s", shards, shards, got, want)
+				}
+				if shards == 1 {
+					if got := servedDigest(t, backends[0].p, backends[0].ids, from); got != tc.served[1] {
+						t.Errorf("coordinated 1-shard served log diverged from golden:\n got %s\nwant %s", got, tc.served[1])
+					}
 				}
 			}
 		})
