@@ -623,7 +623,8 @@ func benchDeliveryDigest(b *testing.B, p *platform.Platform, ids []string) float
 // iteration) at each shard count. The `digest` metric fingerprints the
 // delivery output: it must be identical between repeated runs at the same
 // worker count (the CI bench-smoke job enforces this), and workers=1 must
-// match the sequential engine by the differential suite's construction.
+// match the historical sequential output, which the differential suite's
+// goldens pin.
 func BenchmarkDeliveryWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

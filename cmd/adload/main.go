@@ -74,7 +74,7 @@ func run(args []string, stdout io.Writer) error {
 	shedCap := fs.Int("shed-cap", marketing.DefaultServerLimits().MaxInFlight, "self-hosted server: max in-flight requests before shedding with 429 (0 disables)")
 	storeDir := fs.String("store-dir", "", "self-hosted server: durable state directory (empty serves from memory only)")
 	fsyncMode := fs.String("fsync", "always", "self-hosted server: WAL fsync discipline (always, interval, none); requires -store-dir")
-	deliveryWorkers := fs.Int("delivery-workers", 0, "delivery shard count sent with every deliver call (0 = server default, 1 = sequential oracle)")
+	deliveryWorkers := fs.Int("delivery-workers", 0, "delivery shard count sent with every deliver call (0 = server default, 1 = single shard)")
 	privacyK := fs.Int("privacy-k", 0, "insights privacy: k-anonymity threshold on the self-hosted server (0 disables); with -target, records the remote policy in the report")
 	privacyEpsilon := fs.Float64("privacy-epsilon", 0, "insights privacy: DP noise epsilon on the self-hosted server (0 disables); with -target, records the remote policy in the report")
 	privacySeed := fs.Int64("privacy-seed", 1, "insights privacy: noise-stream seed for the self-hosted server")

@@ -59,7 +59,7 @@ func run(args []string) error {
 	storeDir := fs.String("store-dir", "", "durable state directory: WAL + snapshots, recovered on boot (empty disables durability)")
 	fsyncMode := fs.String("fsync", "always", "WAL fsync discipline: always, interval, or none")
 	snapshotEvery := fs.Int("snapshot-every", 5000, "write a snapshot and compact the WAL every N records (0 disables automatic snapshots)")
-	deliveryWorkers := fs.Int("delivery-workers", 1, "default delivery shard count for /v1/deliver (1 = sequential oracle engine; requests may override)")
+	deliveryWorkers := fs.Int("delivery-workers", 1, "default delivery shard count for /v1/deliver (1 = single shard; requests may override)")
 	drainTimeout := fs.Duration("drain-timeout", 2*time.Minute, "graceful-shutdown budget for draining in-flight requests (must exceed the longest /v1/deliver day)")
 	privacyK := fs.Int("privacy-k", 0, "insights privacy: k-anonymity threshold for breakdown cells and minimum audience (0 disables suppression)")
 	privacyEpsilon := fs.Float64("privacy-epsilon", 0, "insights privacy: DP noise parameter epsilon (0 disables noise; smaller = noisier)")

@@ -10,7 +10,7 @@
 // engine uses. The coordinator runs the pacing controller and the tick
 // barrier (platform.PacingController) over HTTP, so an N-shard coordinated
 // day is byte-identical to the single-process RunDayWorkers(workers=N) run,
-// and a 1-shard day reproduces the sequential oracle goldens.
+// and a 1-shard day reproduces the workers=1 goldens.
 //
 // The coordinator holds no durable state of its own: backends recover
 // independently through their own WAL/snapshot stores, and an interrupted

@@ -217,9 +217,8 @@ func insightsDigest(t *testing.T, client *marketing.Client, ids []string) string
 // real HTTP: for 1, 2, and 4 shards, a router-coordinated delivery day
 // produces, through the same wire-level insights surface, exactly what one
 // adplatform process produces with the in-process engine at the same worker
-// count. The 1-shard case pins the router to the sequential oracle (and
-// thereby to the historical goldens, which the platform tests tie to that
-// engine).
+// count. The 1-shard case pins the router to workers=1 (and thereby to the
+// historical goldens, which the platform tests tie to the 1-shard day).
 func TestRouterMatchesSingleProcess(t *testing.T) {
 	const nAds = 3
 	const seed = 9100

@@ -87,8 +87,8 @@ type Config struct {
 	// platform rejects targeting that matches no users.
 	Hashes []string
 	// DeliveryWorkers is passed through on every deliver call: the
-	// platform-side shard count for the parallel delivery engine. 0 defers
-	// to the server's configured default; 1 forces the sequential oracle.
+	// platform-side shard count for the delivery engine. 0 defers to the
+	// server's configured default; 1 runs a single shard.
 	DeliveryWorkers int
 	// ShardCount records the process topology behind the target (from the
 	// router's GET /v1/topology) in the report. Informational only: 0 means

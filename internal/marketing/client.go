@@ -599,8 +599,8 @@ func (c *Client) Deliver(ctx context.Context, adIDs []string, seed int64) error 
 }
 
 // DeliverWorkers runs the listed ads for one simulated day with an explicit
-// delivery worker count (0 defers to the server's default, 1 is the
-// sequential oracle engine).
+// delivery worker count (0 defers to the server's default, 1 runs a single
+// shard).
 func (c *Client) DeliverWorkers(ctx context.Context, adIDs []string, seed int64, workers int) error {
 	return c.do(ctx, http.MethodPost, "/v1/deliver", DeliverRequest{AdIDs: adIDs, Seed: seed, Workers: workers}, nil)
 }

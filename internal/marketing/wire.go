@@ -142,7 +142,7 @@ type DeliverRequest struct {
 	Seed  int64    `json:"seed"`
 	// Workers selects the delivery engine's shard count. 0 (the default,
 	// and what older clients send) defers to the server's configured
-	// default; 1 forces the sequential oracle engine. Delivery output is
+	// default; 1 runs a single shard. Delivery output is
 	// deterministic for a fixed (seed, workers) pair.
 	Workers int `json:"workers,omitempty"`
 }

@@ -233,9 +233,4 @@ type Ad struct {
 	perceived perceivedCreative
 	folded    foldedEAR
 	audience  []int // population indexes of targeted users
-	spent     float64
-	pacing    float64
-	tickSpent float64
-	tickCap   float64
-	runIdx    int // position within the current run's active set
 }

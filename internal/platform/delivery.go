@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/population"
@@ -87,13 +86,13 @@ func (p *Platform) RunDay(adIDs []string, seed int64) error {
 }
 
 // RunDayWorkers is RunDay with an explicit worker count. workers <= 0 falls
-// back to Config.DeliveryWorkers; an effective count of 1 runs the
-// sequential oracle engine, anything higher runs the sharded parallel
-// engine (see delivery_shard.go). Output is a pure function of (ads, seed,
-// effective worker count): repeated runs with the same inputs are
-// bit-identical, and workers=1 reproduces the historical sequential output
-// exactly. Different worker counts produce statistically equivalent but not
-// identical days, because each shard consumes its own RNG stream.
+// back to Config.DeliveryWorkers. The day runs on the delivery engine (see
+// delivery_shard.go) with the audience split into that many shards;
+// workers=1 is the 1-shard day, which reproduces the historical sequential
+// output exactly. Output is a pure function of (ads, seed, effective worker
+// count): repeated runs with the same inputs are bit-identical. Different
+// worker counts produce statistically equivalent but not identical days,
+// because each shard consumes its own RNG stream.
 func (p *Platform) RunDayWorkers(adIDs []string, seed int64, workers int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -109,7 +108,7 @@ func (p *Platform) RunDayWorkers(adIDs []string, seed int64, workers int) error 
 	if workers > maxDeliveryWorkers {
 		workers = maxDeliveryWorkers
 	}
-	active, elig, err := p.prepareDay(adIDs)
+	active, elig, plan, err := p.prepareDay(adIDs)
 	if err != nil {
 		return err
 	}
@@ -118,19 +117,16 @@ func (p *Platform) RunDayWorkers(adIDs []string, seed int64, workers int) error 
 	}
 
 	start := p.deliveryClockNow()
-	var auctions int64
-	var merge time.Duration
-	if workers == 1 {
-		auctions = p.runDaySequential(active, elig, seed)
-	} else {
-		auctions, merge = p.runDaySharded(active, elig, seed, workers)
+	auctions, merge, spendCents, err := p.runDay(active, elig, plan, seed, workers)
+	if err != nil {
+		return err
 	}
 
 	var impressions int64
-	for _, ad := range active {
+	for i, ad := range active {
 		ad.Status = StatusCompleted
 		st := p.stats[ad.ID]
-		st.SpendCents = math.Round(ad.spent * 100)
+		st.SpendCents = spendCents[i]
 		impressions += int64(st.Impressions)
 	}
 	// One mutation commits the whole day: the completed ads and their frozen
@@ -146,17 +142,18 @@ func (p *Platform) RunDayWorkers(adIDs []string, seed int64, workers int) error 
 	return nil
 }
 
-// prepareDay resolves a delivery request into the run's active ad set and
-// CSR eligibility index, and initializes per-run ad state (zeroed spend, run
-// index, starting pacing). It is shared by RunDayWorkers and the coordinated
-// day session (delivery_session.go) and consumes no randomness, so every
-// shard of a coordinated day derives the identical plan from the same CRUD
-// state. The caller holds p.mu for writing.
-func (p *Platform) prepareDay(adIDs []string) (active []*Ad, elig *eligIndex, err error) {
+// prepareDay resolves a delivery request into the run's active ad set, its
+// CSR eligibility index, and the day plan: tick count, pacing mode, and
+// per-ad budgets and starting bids in run order. It is shared by
+// RunDayWorkers and the coordinated day session (delivery_session.go) and
+// consumes no randomness, so every shard of a coordinated day derives the
+// identical plan from the same CRUD state. The caller holds p.mu for
+// writing.
+func (p *Platform) prepareDay(adIDs []string) (active []*Ad, elig *eligIndex, plan *DayInit, err error) {
 	for _, id := range adIDs {
 		ad, err := p.adLocked(id)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		switch ad.Status {
 		case StatusActive:
@@ -164,24 +161,31 @@ func (p *Platform) prepareDay(adIDs []string) (active []*Ad, elig *eligIndex, er
 		case StatusRejected:
 			// Skipped, not an error.
 		default:
-			return nil, nil, fmt.Errorf("platform: ad %s is %v, cannot deliver", id, ad.Status)
+			return nil, nil, nil, fmt.Errorf("platform: ad %s is %v, cannot deliver", id, ad.Status)
 		}
 	}
 	if len(active) == 0 {
-		return nil, nil, fmt.Errorf("platform: no active ads to deliver")
+		return nil, nil, nil, fmt.Errorf("platform: no active ads to deliver")
 	}
 
+	plan = &DayInit{
+		Ticks:  p.cfg.Ticks,
+		Greedy: p.cfg.GreedyPacing,
+		Ads:    make([]DayAdPlan, len(active)),
+	}
 	for i, ad := range active {
-		ad.spent = 0
-		ad.runIdx = i
 		// Start the effective bid so that bid × (typical optimization term)
 		// lands near the competing demand level; the pacing controller
 		// refines from there. Without this, reach-optimized ads (term = 1)
 		// would burn their budget at eAR-scaled bids ~25× too high.
 		meanTerm := p.meanOptimizationTerm(ad)
-		ad.pacing = math.Min(math.Max(2*p.cfg.CompetitionBase/meanTerm, 0.005), 50)
+		plan.Ads[i] = DayAdPlan{
+			AdID:             ad.ID,
+			DailyBudgetCents: ad.DailyBudgetCents,
+			Pacing:           math.Min(math.Max(2*p.cfg.CompetitionBase/meanTerm, 0.005), 50),
+		}
 	}
-	return active, buildEligIndex(active), nil
+	return active, buildEligIndex(active), plan, nil
 }
 
 // newAdStats allocates an empty delivery report sized for the configured
@@ -193,160 +197,6 @@ func (p *Platform) newAdStats(adID string) *AdStats {
 		RaceOracle:   map[demo.Race]int{},
 		HourlySeries: make([]int, p.cfg.Ticks),
 	}
-}
-
-// seqDay is the sequential engine's per-day state, factored out so the
-// coordinated 1-shard day session (delivery_session.go) can run the exact
-// oracle tick path one externally paced tick at a time. Auctions write into
-// the injected stats map and served-row sink rather than straight into
-// platform state, which is what lets a session defer installing its results
-// until the coordinator commits the day.
-type seqDay struct {
-	rng       *rand.Rand
-	active    []*Ad // by run index, the CSR index's ad addressing
-	stats     map[string]*AdStats
-	reached   map[string]map[int]struct{}
-	frequency map[string]map[int]int
-	serve     func(userIdx int, ad *Ad, clicked bool)
-}
-
-// newSeqDay builds sequential-engine day state over the given stats map and
-// served-row sink.
-func newSeqDay(active []*Ad, seed int64, stats map[string]*AdStats, serve func(int, *Ad, bool)) *seqDay {
-	sd := &seqDay{
-		rng:       rand.New(rand.NewSource(seed)),
-		active:    active,
-		stats:     stats,
-		reached:   make(map[string]map[int]struct{}, len(active)),
-		frequency: make(map[string]map[int]int, len(active)),
-		serve:     serve,
-	}
-	for _, ad := range active {
-		sd.reached[ad.ID] = map[int]struct{}{}
-		sd.frequency[ad.ID] = map[int]int{}
-	}
-	return sd
-}
-
-// runDaySequential is the single-threaded oracle engine: one RNG stream,
-// auctions applied to shared state in user-visit order. Its output defines
-// the determinism contract every parallel configuration is differentially
-// tested against, so its draw order must never change.
-func (p *Platform) runDaySequential(active []*Ad, elig *eligIndex, seed int64) int64 {
-	sd := newSeqDay(active, seed, p.stats, p.recordServed)
-	order := elig.rowOrder()
-	var auctions int64
-	ticks := p.cfg.Ticks
-	for tick := 0; tick < ticks; tick++ {
-		// Budget pacing: adjust each ad's effective bid toward on-schedule
-		// spend (§2.1: "this process is called bid pacing"), and cap each
-		// tick's spend so the budget spreads over the whole day rather than
-		// dumping into the first slots.
-		elapsed := float64(tick) / float64(ticks)
-		for _, ad := range active {
-			ad.pacing, ad.tickCap = pacingStep(ad.pacing, ad.spent, float64(ad.DailyBudgetCents)/100, elapsed, ticks, p.cfg.GreedyPacing)
-			ad.tickSpent = 0
-		}
-		auctions += p.seqTick(sd, elig, order, tick)
-	}
-	for _, ad := range active {
-		p.stats[ad.ID].Reach = len(sd.reached[ad.ID])
-	}
-	return auctions
-}
-
-// seqTick runs one sequential-engine tick: visit users in a fresh random
-// order (so no ad's spend window correlates with a fixed slice of the
-// audience), running each user's sessions. The shuffle permutes the caller's
-// row-position slice in place — order persists across ticks, exactly like
-// the original inline loop over the sorted user list (position i starts as
-// the i-th targeted user in ascending population order, so the draw sequence
-// is unchanged from the map-index era).
-func (p *Platform) seqTick(sd *seqDay, elig *eligIndex, order []int32, tick int) int64 {
-	rng := sd.rng
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	var auctions int64
-	ticks := float64(p.cfg.Ticks)
-	for _, pos := range order {
-		u := p.pop.View(int(elig.users[pos]))
-		sessions := poisson(rng, u.Activity()/ticks)
-		auctions += int64(sessions)
-		for s := 0; s < sessions; s++ {
-			p.auction(sd, u, elig.adsFor(pos), tick)
-		}
-	}
-	return auctions
-}
-
-// auction runs one ad slot: the eligible audit ads (run indexes into
-// sd.active, straight out of the CSR index) compete with each other and with
-// background advertiser demand; the winner pays the second price.
-func (p *Platform) auction(sd *seqDay, u population.UserView, eligible []int32, tick int) {
-	rng := sd.rng
-	uid := u.ID()
-	bg := p.backgroundBid(rng, u)
-	var winner *Ad
-	best, second := bg, 0.0
-	// Random starting offset so exact-tie auctions don't systematically
-	// favor earlier-created ads.
-	off := 0
-	if len(eligible) > 1 {
-		off = rng.Intn(len(eligible))
-	}
-	for k := range eligible {
-		ad := sd.active[eligible[(k+off)%len(eligible)]]
-		if ad.pacing <= 0 || ad.spent >= float64(ad.DailyBudgetCents)/100 || ad.tickSpent >= ad.tickCap {
-			continue
-		}
-		if p.cfg.FrequencyCap > 0 && sd.frequency[ad.ID][uid] >= p.cfg.FrequencyCap {
-			continue
-		}
-		value := ad.pacing*p.optimizationTerm(ad, u) + p.cfg.Quality
-		if p.cfg.ValueNoise > 0 {
-			sigma := p.cfg.ValueNoise
-			value *= math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
-		}
-		if value > best {
-			second = best
-			best = value
-			winner = ad
-		} else if value > second {
-			second = value
-		}
-	}
-	if winner == nil {
-		return
-	}
-	price := math.Max(second, bg)
-	// Overspend clamp: never charge past the daily budget, making
-	// SpendCents ≤ DailyBudgetCents an engine invariant. The clamp cannot
-	// change any auction outcome or RNG draw: it only truncates the single
-	// budget-crossing price, and after that charge the ad is ineligible
-	// (spent >= budget) whether or not the charge was clamped.
-	if budget := float64(winner.DailyBudgetCents) / 100; winner.spent+price > budget {
-		price = budget - winner.spent
-	}
-	winner.spent += price
-	winner.tickSpent += price
-	st := sd.stats[winner.ID]
-	st.Impressions++
-	st.HourlySeries[tick]++
-	st.Breakdown[BreakdownKey{
-		Age:    u.AgeBucket(),
-		Gender: u.Gender(),
-		Region: p.deliveryRegion(rng, u),
-	}]++
-	st.RaceOracle[u.Race()]++
-	sd.reached[winner.ID][uid] = struct{}{}
-	sd.frequency[winner.ID][uid]++
-	// Traffic objective: record clicks from ground-truth behaviour and log
-	// the served impression into the retraining buffer — the feedback loop
-	// Retrain closes.
-	clicked := rng.Float64() < p.behave.ClickProb(u, winner.Creative.Image)
-	if clicked {
-		st.Clicks++
-	}
-	sd.serve(uid, winner, clicked)
 }
 
 // optimizationTerm computes the per-user multiplier the delivery objective

@@ -1,15 +1,19 @@
 package platform
 
-// Differential determinism suite for the delivery engines.
+// Differential determinism suite for the delivery engine.
 //
-// Two claims are pinned here:
+// Three claims are pinned here:
 //
-//  1. workers=1 is the sequential oracle: its output is byte-identical to
-//     the pre-parallelization engine's, asserted against golden digests
-//     captured from the sequential implementation before the sharded
-//     engine existed. These digests must never change; a diff here means
-//     the oracle's RNG draw order or accounting moved.
-//  2. Every parallel worker count is self-deterministic: repeated runs of
+//  1. workers=1, the 1-shard day, is byte-identical to the historical
+//     sequential engine, asserted against golden digests captured from
+//     that implementation before the sharded engine existed (the
+//     budget-bound cases and served-log digests were captured from it
+//     later, before it was folded into the sharded engine). These digests
+//     must never change; a diff here means the RNG draw order or
+//     accounting moved.
+//  2. workers 2/4/8 match golden digests captured before the columnar
+//     population refactor.
+//  3. Every parallel worker count is self-deterministic: repeated runs of
 //     the same (ads, seed, workers) input produce identical AdStats —
 //     impressions, clicks, spend, breakdown cells, RaceOracle, and
 //     HourlySeries. Repeats use freshly created (identical-spec) ad sets,
@@ -107,7 +111,7 @@ func createAdSet(t *testing.T, p *Platform, objective Objective, caID string, sp
 }
 
 // diffCase is one (seed, population slice, ad mix) configuration plus the
-// golden digest of the sequential engine's output for it.
+// golden digests of the engine's output for it.
 type diffCase struct {
 	name    string
 	cfg     func() Config
@@ -115,7 +119,8 @@ type diffCase struct {
 	obj     Objective
 	specs   []diffAdSpec
 	runSeed int64
-	golden  string
+	// golden is the workers=1 digest.
+	golden string
 	// sharded holds per-worker-count golden digests captured from the
 	// sharded engine before the columnar population refactor, pinning the
 	// parallel paths byte-for-byte across representation changes.
@@ -265,8 +270,8 @@ func budgetBoundAudience(t *testing.T, p *Platform, f *fixture) string {
 	return uploadBalancedAudience(t, p, f, 50, 64)
 }
 
-// TestDeliverySequentialMatchesGoldens pins the workers=1 engine to the
-// digests captured from the pre-parallelization sequential implementation.
+// TestDeliverySequentialMatchesGoldens pins the 1-shard day (workers=1) to
+// the digests captured from the historical sequential implementation.
 func TestDeliverySequentialMatchesGoldens(t *testing.T) {
 	f := sharedFixture(t)
 	for _, tc := range diffCases() {
@@ -282,7 +287,7 @@ func TestDeliverySequentialMatchesGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := deliveryDigest(t, p, ids); got != tc.golden {
-				t.Errorf("workers=1 output diverged from the pre-change sequential golden:\n got %s\nwant %s", got, tc.golden)
+				t.Errorf("workers=1 output diverged from the sequential golden:\n got %s\nwant %s", got, tc.golden)
 			}
 			if got := servedDigest(t, p, ids, from); got != tc.served[1] {
 				t.Errorf("workers=1 served log diverged from golden:\n got %s\nwant %s", got, tc.served[1])

@@ -2,9 +2,8 @@ package platform
 
 // The coordinated day session: one shard backend's side of the cross-process
 // delivery protocol (internal/coordinator drives the other side). A session
-// runs the same engines RunDayWorkers runs — the sequential oracle for a
-// 1-shard day, one deliveryShard of the sharded engine otherwise — but one
-// externally paced tick at a time:
+// runs one deliveryShard of the same engine RunDayWorkers runs — the whole
+// audience for a 1-shard day — but one externally paced tick at a time:
 //
 //	Begin   resolve the ad set, initialize pacing, report the day plan;
 //	Tick    apply the coordinator's frozen (pacing, spent, cap) snapshot,
@@ -26,6 +25,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -46,15 +46,9 @@ type daySession struct {
 
 	active []*Ad
 	elig   *eligIndex
-	order  []int32 // this shard's row positions into elig
 	stats  map[string]*AdStats
+	sh     *deliveryShard // served rows stay buffered here until Finish
 
-	seq  *seqDay        // shards == 1: the sequential oracle engine
-	sh   *deliveryShard // shards > 1: one shard of the parallel engine
-	caps []float64      // shards > 1: this tick's per-ad cap slice
-
-	served   []servedRow // buffered; flushed to the platform at Finish
-	auctions int64
 	nextTick int
 	last     *TickReport // previous tick's report, for idempotent replay
 	start    time.Time
@@ -66,9 +60,8 @@ type daySession struct {
 // returns the day plan: tick count, pacing mode, and per-ad budgets and
 // starting bids in run order. The user partition is by position in the
 // globally sorted eligible-user list (position mod shards), the same
-// round-robin split the in-process sharded engine uses — so an N-shard
-// coordinated day reproduces RunDayWorkers(workers=N) bit for bit, and a
-// 1-shard day reproduces the sequential oracle.
+// round-robin split RunDayWorkers uses — so an N-shard coordinated day
+// reproduces RunDayWorkers(workers=N) bit for bit, 1-shard days included.
 //
 // Any existing session is replaced: sessions are volatile scratch, and
 // replacement is how a coordinator recovers a backend that holds a stale
@@ -85,7 +78,7 @@ func (p *Platform) BeginDaySession(session string, adIDs []string, seed int64, s
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	active, elig, err := p.prepareDay(adIDs)
+	active, elig, init, err := p.prepareDay(adIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -97,37 +90,14 @@ func (p *Platform) BeginDaySession(session string, adIDs []string, seed int64, s
 		active: active,
 		elig:   elig,
 		stats:  make(map[string]*AdStats, len(active)),
+		sh:     newDeliveryShard(elig, seed, shard, shards, len(active), p.cfg.Ticks),
 		start:  p.deliveryClockNow(),
 	}
 	for _, ad := range active {
 		sess.stats[ad.ID] = p.newAdStats(ad.ID)
 	}
-	if shards == 1 {
-		sess.order = elig.rowOrder()
-		sess.seq = newSeqDay(active, seed, sess.stats, func(userIdx int, ad *Ad, clicked bool) {
-			sess.served = append(sess.served, servedRow{userIdx: userIdx, ad: ad, clicked: clicked})
-		})
-	} else {
-		for i := 0; i < elig.rows(); i++ {
-			if i%shards == shard {
-				sess.order = append(sess.order, int32(i))
-			}
-		}
-		sess.sh = newDeliveryShard(seed, shard, len(active), p.cfg.Ticks)
-		sess.sh.order = sess.order
-		sess.caps = make([]float64, len(active))
-	}
 	p.session = sess
-
-	init := &DayInit{
-		Session: session,
-		Ticks:   p.cfg.Ticks,
-		Greedy:  p.cfg.GreedyPacing,
-		Ads:     make([]DayAdPlan, len(active)),
-	}
-	for i, ad := range active {
-		init.Ads[i] = DayAdPlan{AdID: ad.ID, DailyBudgetCents: ad.DailyBudgetCents, Pacing: ad.pacing}
-	}
+	init.Session = session
 	return init, nil
 }
 
@@ -139,10 +109,10 @@ func (p *Platform) BeginDaySession(session string, adIDs []string, seed int64, s
 //
 // The report's Spent vector is this shard's tick spend for a multi-shard
 // day (the coordinator folds it with the budget clamp, in shard order);
-// for a 1-shard day it is the backend's committed absolute spend — the
-// sequential oracle accumulates spend per auction with a per-auction clamp,
-// and only its own addition order reproduces the historical digests, so
-// there the backend is authoritative and the coordinator adopts its totals.
+// for a 1-shard day it is the backend's committed absolute spend — a
+// 1-shard day charges spend per auction with a per-auction clamp, and only
+// that addition order reproduces the historical digests, so there the
+// backend is authoritative and the coordinator adopts its totals.
 func (p *Platform) DaySessionTick(session string, tick int, dirs []TickDirective) (*TickReport, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -166,35 +136,10 @@ func (p *Platform) DaySessionTick(session string, tick int, dirs []TickDirective
 		return nil, fmt.Errorf("platform: session %q got %d directives, want %d: %w", session, len(dirs), len(sess.active), ErrSessionConflict)
 	}
 
-	for i, ad := range sess.active {
-		ad.pacing = dirs[i].Pacing
-		ad.spent = dirs[i].Spent
-		ad.tickSpent = 0
-		if sess.shards == 1 {
-			ad.tickCap = dirs[i].Cap
-		} else {
-			sess.caps[i] = dirs[i].Cap
-		}
-	}
-
-	rep := &TickReport{Tick: tick, Spent: make([]float64, len(sess.active))}
-	if sess.shards == 1 {
-		rep.Auctions = p.seqTick(sess.seq, sess.elig, sess.order, tick)
-		for i, ad := range sess.active {
-			rep.Spent[i] = ad.spent
-		}
-	} else {
-		before := sess.sh.auctions
-		p.shardTick(sess.sh, sess.active, sess.elig, tick, sess.caps)
-		rep.Auctions = sess.sh.auctions - before
-		for i, acc := range sess.sh.accs {
-			rep.Spent[i] = acc.tickSpent
-			acc.tickSpent = 0
-		}
-		sess.served = append(sess.served, sess.sh.served...)
-		sess.sh.served = sess.sh.served[:0]
-	}
-	sess.auctions += rep.Auctions
+	before := sess.sh.auctions
+	p.shardTick(sess.sh, sess.active, sess.elig, tick, dirs)
+	rep := &TickReport{Tick: tick, Spent: make([]float64, len(sess.active)), Auctions: sess.sh.auctions - before}
+	sess.sh.reportSpend(rep.Spent)
 	sess.nextTick++
 	sess.last = rep
 
@@ -223,13 +168,13 @@ func (p *Platform) FinishDaySession(session string, spendCents []float64) error 
 		return fmt.Errorf("platform: session %q got %d spend totals, want %d: %w", session, len(spendCents), len(sess.active), ErrSessionConflict)
 	}
 
-	if sess.shards == 1 {
-		for _, ad := range sess.active {
-			sess.stats[ad.ID].Reach = len(sess.seq.reached[ad.ID])
+	for i, ad := range sess.active {
+		if c := spendCents[i]; math.IsNaN(c) || c < 0 || c > float64(ad.DailyBudgetCents) {
+			return fmt.Errorf("platform: session %q got spend %v¢ for ad %s, outside [0, %d]", session, c, ad.ID, ad.DailyBudgetCents)
 		}
-	} else {
-		mergeShardStats(sess.stats, sess.active, sess.sh)
 	}
+
+	mergeShardStats(sess.stats, sess.active, sess.sh)
 	var impressions int64
 	for i, ad := range sess.active {
 		ad.Status = StatusCompleted
@@ -245,10 +190,10 @@ func (p *Platform) FinishDaySession(session string, spendCents []float64) error 
 	}
 	sortDeliveryState(del)
 	p.emit(Mutation{Kind: MutDayDelivered, Delivery: del})
-	for _, row := range sess.served {
+	for _, row := range sess.sh.served {
 		p.recordServed(row.userIdx, row.ad, row.clicked)
 	}
-	p.observeDelivery(sess.start, int64(p.cfg.Ticks), sess.auctions, impressions, sess.shards, 0)
+	p.observeDelivery(sess.start, int64(p.cfg.Ticks), sess.sh.auctions, impressions, sess.shards, 0)
 	p.session = nil
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -129,8 +130,7 @@ func mergedSessionDigest(t *testing.T, backends []coordObjects) string {
 // TestDaySessionMatchesInProcessEngines is the central equivalence claim of
 // the multi-process design: a coordinated day over N backend platforms is
 // byte-identical to RunDayWorkers(workers=N) on a single platform — the
-// 1-shard configuration therefore also matches the historical sequential
-// goldens.
+// 1-shard configuration therefore also matches the workers=1 goldens.
 func TestDaySessionMatchesInProcessEngines(t *testing.T) {
 	f := sharedFixture(t)
 	const maxShards = 4
@@ -250,5 +250,109 @@ func TestDaySessionProtocol(t *testing.T) {
 	}
 	if got := deliveryDigest(t, p, ids); got != tc.golden {
 		t.Errorf("post-abort engine run diverged from golden:\n got %s\nwant %s", got, tc.golden)
+	}
+}
+
+// TestSpendValidationAtWireBoundaries feeds the two spend values that cross
+// the wire — shard tick reports into PacingController.CommitTick and the
+// coordinator's totals into FinishDaySession — honest and corrupted inputs.
+// A rejected value must leave the controller or session untouched.
+func TestSpendValidationAtWireBoundaries(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	plan := &DayInit{Ticks: 4, Ads: []DayAdPlan{
+		{AdID: "a", DailyBudgetCents: 1000, Pacing: 1},
+		{AdID: "b", DailyBudgetCents: 500, Pacing: 1},
+	}}
+	// Every controller first commits one honest tick to reach committed
+	// spend {3, 1} (dollars), then commits the row's report.
+	commits := []struct {
+		name    string
+		shards  int
+		report  [][]float64
+		wantErr bool
+	}{
+		{"one_shard_honest", 1, [][]float64{{4, 1}}, false},
+		{"one_shard_exactly_budget", 1, [][]float64{{10, 5}}, false},
+		{"one_shard_nan", 1, [][]float64{{nan, 1}}, true},
+		{"one_shard_inf", 1, [][]float64{{4, inf}}, true},
+		{"one_shard_negative", 1, [][]float64{{-1, 1}}, true},
+		{"one_shard_below_committed", 1, [][]float64{{2.5, 1}}, true},
+		{"one_shard_above_budget", 1, [][]float64{{10.01, 1}}, true},
+		{"two_shard_honest", 2, [][]float64{{1, 0}, {0.5, 0.25}}, false},
+		// Tick deltas above the remaining budget are honest: the commit
+		// clamp absorbs the overrun of the last winning price per shard.
+		{"two_shard_overrun_clamped", 2, [][]float64{{20, 0}, {0, 9}}, false},
+		{"two_shard_nan", 2, [][]float64{{0, 0}, {nan, 0}}, true},
+		{"two_shard_neg_inf", 2, [][]float64{{0, math.Inf(-1)}, {0, 0}}, true},
+		{"two_shard_negative", 2, [][]float64{{0, 0}, {0, -0.5}}, true},
+	}
+	for _, tc := range commits {
+		t.Run("commit/"+tc.name, func(t *testing.T) {
+			ctrl, err := NewPacingController(plan, tc.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := [][]float64{{3, 1}}
+			if tc.shards == 2 {
+				first = [][]float64{{2, 0.5}, {1, 0.5}}
+			}
+			ctrl.TickDirectives(0)
+			if err := ctrl.CommitTick(first); err != nil {
+				t.Fatalf("honest first tick rejected: %v", err)
+			}
+			before := ctrl.SpendCents()
+			ctrl.TickDirectives(1)
+			err = ctrl.CommitTick(tc.report)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("CommitTick(%v) error = %v, want error %v", tc.report, err, tc.wantErr)
+			}
+			after := ctrl.SpendCents()
+			if tc.wantErr && !reflect.DeepEqual(after, before) {
+				t.Errorf("rejected report moved committed spend: %v -> %v", before, after)
+			}
+			for i, c := range after {
+				if c < 0 || c > float64(plan.Ads[i].DailyBudgetCents) {
+					t.Errorf("ad %d committed %v¢ outside [0, %d]", i, c, plan.Ads[i].DailyBudgetCents)
+				}
+			}
+		})
+	}
+
+	f := sharedFixture(t)
+	tc := diffCases()[0]
+	p, err := New(tc.cfg(), f.pop, f.behave)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := createAdSet(t, p, tc.obj, tc.setup(t, p, f), tc.specs)
+	init, err := p.BeginDaySession("v", ids, tc.runSeed, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := NewPacingController(init, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick := 0; tick < ctrl.Ticks(); tick++ {
+		rep, err := p.DaySessionTick("v", tick, ctrl.TickDirectives(tick))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctrl.CommitTick([][]float64{rep.Spent}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	budget := float64(tc.specs[0].budget)
+	for _, bad := range [][]float64{{nan, 0}, {inf, 0}, {-1, 0}, {0, budget + 1}} {
+		err := p.FinishDaySession("v", bad)
+		if err == nil || errors.Is(err, ErrSessionConflict) {
+			t.Fatalf("FinishDaySession(%v): got %v, want a validation error", bad, err)
+		}
+	}
+	if !p.SessionActive() {
+		t.Fatal("rejected finish closed the session")
+	}
+	if err := p.FinishDaySession("v", ctrl.SpendCents()); err != nil {
+		t.Fatalf("honest finish after rejections: %v", err)
 	}
 }

@@ -1,24 +1,29 @@
 package platform
 
-// The sharded parallel delivery engine. The audience is partitioned into
-// `workers` deterministic shards; each shard runs its tick's auctions on its
-// own goroutine with its own RNG stream and thread-local accumulators, and
-// everything shared is committed single-threaded at the tick barrier in
-// fixed shard order. That makes the day's output a pure function of
-// (ads, seed, worker count): repeated runs are bit-identical.
+// The delivery engine. The audience is partitioned into `shards`
+// deterministic round-robin slices; each shard runs its tick's auctions
+// with its own RNG stream and thread-local accumulators, and everything
+// shared is committed single-threaded at the tick barrier in fixed shard
+// order. That makes the day's output a pure function of (ads, seed, shard
+// count): repeated runs are bit-identical. workers=1 is the 1-shard day.
 //
-// Budget pacing is two-phase per tick:
+// Budget pacing is two-phase per tick, driven by the PacingController
+// (pacing.go) whether the shards run in this process or behind a
+// coordinator:
 //
-//	phase 1 (single-threaded): the pacing controller updates every ad's
-//	  effective bid from the *committed* spend — exactly the sequential
-//	  controller's rule — and slices the tick's spend cap per shard;
-//	phase 2 (parallel): shards bid against that frozen tick-start snapshot
-//	  (ad.pacing / ad.spent / the per-shard cap never move mid-tick),
-//	  accruing spend and stats locally;
-//	phase 3 (single-threaded): shard spend commits into ad.spent in shard
-//	  order — fixed floating-point addition order — clamped so the daily
-//	  budget is never exceeded, and buffered served-log rows flush in the
-//	  same order.
+//	phase 1 (single-threaded): the controller updates every ad's effective
+//	  bid from the *committed* spend and hands each shard a frozen
+//	  []TickDirective (bid, committed spend, the shard's tick cap);
+//	phase 2 (parallel): shards bid against that frozen snapshot, accruing
+//	  spend and stats locally;
+//	phase 3 (single-threaded): shard spend reports commit into the
+//	  controller in shard order — fixed floating-point addition order —
+//	  clamped so the daily budget is never exceeded, and buffered
+//	  served-log rows flush in the same order.
+//
+// A 1-shard day charges spend per auction instead (see
+// deliveryShard.perAuction): the historical oracle's addition order, which
+// the workers=1 goldens pin.
 //
 // Per-user state (frequency caps, reach) needs no synchronization at all:
 // a user lives in exactly one shard, so the shard's local maps are the
@@ -34,12 +39,25 @@ import (
 	"github.com/adaudit/impliedidentity/internal/population"
 )
 
-// newDeliveryShard builds one shard's day state: a private RNG stream
-// derived from (seed, shard) and empty per-ad accumulators.
-func newDeliveryShard(seed int64, shard, numAds, ticks int) *deliveryShard {
+// newDeliveryShard builds one shard's day state: its round-robin slice of
+// the eligibility rows (ascending population order, so the slice spreads
+// every demographic stratum across shards instead of giving one shard a
+// contiguous, correlated block), a private RNG stream, and empty per-ad
+// accumulators. A 1-shard day draws from the raw day seed and charges per
+// auction; an N-shard day derives each stream from (seed, shard).
+func newDeliveryShard(elig *eligIndex, seed int64, shard, shards, numAds, ticks int) *deliveryShard {
+	if shards > 1 {
+		seed = shardSeed(seed, shard)
+	}
 	sh := &deliveryShard{
-		rng:  rand.New(rand.NewSource(shardSeed(seed, shard))),
-		accs: make([]*shardAcc, numAds),
+		rng:        rand.New(rand.NewSource(seed)),
+		order:      make([]int32, 0, (elig.rows()+shards-1-shard)/shards),
+		perAuction: shards == 1,
+		spent:      make([]float64, numAds),
+		accs:       make([]*shardAcc, numAds),
+	}
+	for i := shard; i < elig.rows(); i += shards {
+		sh.order = append(sh.order, int32(i))
 	}
 	for i := range sh.accs {
 		sh.accs[i] = &shardAcc{
@@ -90,7 +108,7 @@ func shardSeed(seed int64, shard int) int64 {
 // shardAcc is one ad's thread-local accumulator inside one shard. Spend is
 // drained at every tick barrier; the counting stats merge once at day end.
 type shardAcc struct {
-	tickSpent   float64 // spend accrued this tick, committed at the barrier
+	tickSpent   float64 // spend accrued this tick, reported at the barrier
 	impressions int
 	clicks      int
 	hourly      []int
@@ -102,70 +120,76 @@ type shardAcc struct {
 
 // deliveryShard owns a disjoint slice of the audience (as row positions into
 // the day's CSR eligibility index), a private RNG stream that persists across
-// ticks, and per-ad accumulators.
+// ticks, and per-ad accumulators. Everything per-ad is indexed by run index,
+// the CSR index's ad addressing.
 type deliveryShard struct {
-	rng      *rand.Rand
-	order    []int32     // row positions into the day's eligIndex
-	accs     []*shardAcc // indexed by Ad.runIdx
+	rng   *rand.Rand
+	order []int32 // row positions into the day's eligIndex
+
+	// perAuction is the spend ledger of a 1-shard day: each winning price
+	// is clamped at the daily budget and charged into spent as the auction
+	// clears, and the tick report carries the absolute committed spend.
+	// Otherwise spent stays at the frozen tick-start snapshot and the report
+	// carries the tick's unclamped accrual for the controller to fold.
+	perAuction bool
+
+	dirs     []TickDirective // this tick's frozen snapshot, by run index
+	spent    []float64       // committed spend the auctions bid against
+	accs     []*shardAcc
 	served   []servedRow // buffered rows, flushed at the tick barrier
 	auctions int64
 }
 
-// runDaySharded runs the parallel engine. The caller holds p.mu for writing
-// for the whole day, same as the sequential engine; parallelism lives
-// entirely inside this call. Returns the auction count and the total time
-// spent in barrier commits (zero unless an observer is installed).
-func (p *Platform) runDaySharded(active []*Ad, elig *eligIndex, seed int64, workers int) (int64, time.Duration) {
-	ticks := p.cfg.Ticks
-	shards := make([]*deliveryShard, workers)
-	for s := range shards {
-		shards[s] = newDeliveryShard(seed, s, len(active), ticks)
+// reportSpend writes the shard's tick spend report (see perAuction) into
+// out, indexed by run index, and resets the tick accrual.
+func (sh *deliveryShard) reportSpend(out []float64) {
+	for i, acc := range sh.accs {
+		if sh.perAuction {
+			out[i] = sh.spent[i]
+		} else {
+			out[i] = acc.tickSpent
+		}
+		acc.tickSpent = 0
 	}
-	// Round-robin partition of the row positions (ascending population
-	// order, the old sorted user list): deterministic, and it spreads every
-	// demographic stratum across shards instead of giving one shard a
-	// contiguous (correlated) block.
-	for i := 0; i < elig.rows(); i++ {
-		sh := shards[i%workers]
-		sh.order = append(sh.order, int32(i))
+}
+
+// runDay runs one in-process delivery day over `workers` shards, paced by
+// the same PacingController a cross-process coordinator uses. The caller
+// holds p.mu for writing for the whole day; parallelism lives entirely
+// inside this call. Returns the auction count, the total time spent in
+// barrier commits (zero unless an observer is installed), and the day's
+// authoritative per-ad spend in cents.
+func (p *Platform) runDay(active []*Ad, elig *eligIndex, plan *DayInit, seed int64, workers int) (int64, time.Duration, []float64, error) {
+	ctrl, err := NewPacingController(plan, workers)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	shards := make([]*deliveryShard, workers)
+	reports := make([][]float64, workers)
+	for s := range shards {
+		shards[s] = newDeliveryShard(elig, seed, s, workers, len(active), plan.Ticks)
+		reports[s] = make([]float64, len(active))
 	}
 
 	var mergeTime time.Duration
 	timed := p.obsReg != nil
-	shardCaps := make([]float64, len(active))
-	for tick := 0; tick < ticks; tick++ {
-		// Phase 1: pacing controller over committed spend. Identical update
-		// rule to the sequential engine's; only the tick cap is additionally
-		// sliced per shard.
-		elapsed := float64(tick) / float64(ticks)
-		for i, ad := range active {
-			budget := float64(ad.DailyBudgetCents) / 100
-			ad.pacing, ad.tickCap = pacingStep(ad.pacing, ad.spent, budget, elapsed, ticks, p.cfg.GreedyPacing)
-			ad.tickSpent = 0
-			shardCaps[i] = shardCapShare(ad.tickCap, budget, ad.spent, workers)
-		}
+	for tick := 0; tick < plan.Ticks; tick++ {
+		dirs := ctrl.TickDirectives(tick)
+		p.runShardTick(shards, active, elig, tick, dirs)
 
-		// Phase 2: the parallel fan-out. Shards only read the shared state
-		// (ad bid fields frozen until the barrier, the population columns,
-		// the read-only CSR index) and write their own accumulators.
-		p.runShardTick(shards, active, elig, tick, shardCaps)
-
-		// Phase 3: barrier commit in fixed shard order.
 		var commitStart time.Time
 		if timed {
 			commitStart = p.clock.Now()
 		}
+		for s, sh := range shards {
+			sh.reportSpend(reports[s])
+		}
+		if err := ctrl.CommitTick(reports); err != nil {
+			return 0, 0, nil, err
+		}
+		// Serve-log rows flush in shard order, so the retraining buffer
+		// (and its maxServedLog truncation point) is deterministic.
 		for _, sh := range shards {
-			for i, acc := range sh.accs {
-				if acc.tickSpent == 0 {
-					continue
-				}
-				ad := active[i]
-				ad.spent = commitSpend(ad.spent, acc.tickSpent, float64(ad.DailyBudgetCents)/100)
-				acc.tickSpent = 0
-			}
-			// Serve-log rows flush in shard order, so the retraining buffer
-			// (and its maxServedLog truncation point) is deterministic.
 			for _, row := range sh.served {
 				p.recordServed(row.userIdx, row.ad, row.clicked)
 			}
@@ -182,28 +206,36 @@ func (p *Platform) runDaySharded(active []*Ad, elig *eligIndex, seed int64, work
 		auctions += sh.auctions
 		mergeShardStats(p.stats, active, sh)
 	}
-	return auctions, mergeTime
+	return auctions, mergeTime, ctrl.SpendCents(), nil
 }
 
-// runShardTick fans one tick out to a goroutine per shard and waits for all
-// of them. The WaitGroup wait is the tick barrier of the two-phase pacing
-// design: no shared mutation happens until every shard has parked, so the
-// commit phase that follows needs no locking at all.
-func (p *Platform) runShardTick(shards []*deliveryShard, active []*Ad, elig *eligIndex, tick int, shardCaps []float64) {
+// runShardTick runs phase 2 of one tick on every shard — shard 0 on the
+// calling goroutine, the rest on one goroutine each — and waits for all of
+// them. The wait is the tick barrier of the two-phase pacing design: no
+// shared mutation happens until every shard has parked, so the commit phase
+// that follows needs no locking at all.
+func (p *Platform) runShardTick(shards []*deliveryShard, active []*Ad, elig *eligIndex, tick int, dirs []TickDirective) {
 	var wg sync.WaitGroup
-	for _, sh := range shards {
+	for _, sh := range shards[1:] {
 		wg.Add(1)
 		go func(sh *deliveryShard) {
 			defer wg.Done()
-			p.shardTick(sh, active, elig, tick, shardCaps)
+			p.shardTick(sh, active, elig, tick, dirs)
 		}(sh)
 	}
+	p.shardTick(shards[0], active, elig, tick, dirs)
 	wg.Wait()
 }
 
-// shardTick runs one shard's slice of a tick: shuffle the shard's row
-// positions with the shard RNG, then run each user's sessions.
-func (p *Platform) shardTick(sh *deliveryShard, active []*Ad, elig *eligIndex, tick int, shardCaps []float64) {
+// shardTick runs one shard's slice of a tick under the frozen directives:
+// shuffle the shard's row positions with the shard RNG (the order persists
+// across ticks), then run each user's sessions. dirs is shared by every
+// shard and only read.
+func (p *Platform) shardTick(sh *deliveryShard, active []*Ad, elig *eligIndex, tick int, dirs []TickDirective) {
+	sh.dirs = dirs
+	for i := range dirs {
+		sh.spent[i] = dirs[i].Spent
+	}
 	rng := sh.rng
 	order := sh.order
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -213,20 +245,20 @@ func (p *Platform) shardTick(sh *deliveryShard, active []*Ad, elig *eligIndex, t
 		sessions := poisson(rng, u.Activity()/ticks)
 		sh.auctions += int64(sessions)
 		for s := 0; s < sessions; s++ {
-			p.shardAuction(sh, active, u, elig.adsFor(pos), tick, shardCaps)
+			p.shardAuction(sh, active, u, elig.adsFor(pos), tick)
 		}
 	}
 }
 
-// shardAuction is the sharded counterpart of auction: same bidding,
-// second-price, frequency-cap, and click semantics, but spend and stats
-// accrue into the shard's accumulators and the tick cap is the shard's
-// slice of it.
-func (p *Platform) shardAuction(sh *deliveryShard, active []*Ad, u population.UserView, eligible []int32, tick int, shardCaps []float64) {
+// shardAuction runs one ad slot: the eligible audit ads (run indexes
+// straight out of the CSR index) compete with each other and with
+// background advertiser demand; the winner pays the second price. Spend and
+// stats accrue into the shard's accumulators.
+func (p *Platform) shardAuction(sh *deliveryShard, active []*Ad, u population.UserView, eligible []int32, tick int) {
 	rng := sh.rng
 	uid := u.ID()
 	bg := p.backgroundBid(rng, u)
-	var winner *Ad
+	winner := int32(-1)
 	best, second := bg, 0.0
 	// Random starting offset so exact-tie auctions don't systematically
 	// favor earlier-created ads.
@@ -235,15 +267,15 @@ func (p *Platform) shardAuction(sh *deliveryShard, active []*Ad, u population.Us
 		off = rng.Intn(len(eligible))
 	}
 	for k := range eligible {
-		ad := active[eligible[(k+off)%len(eligible)]]
-		acc := sh.accs[ad.runIdx]
-		if ad.pacing <= 0 || ad.spent >= float64(ad.DailyBudgetCents)/100 || acc.tickSpent >= shardCaps[ad.runIdx] {
+		i := eligible[(k+off)%len(eligible)]
+		ad, dir := active[i], &sh.dirs[i]
+		if dir.Pacing <= 0 || sh.spent[i] >= float64(ad.DailyBudgetCents)/100 || sh.accs[i].tickSpent >= dir.Cap {
 			continue
 		}
-		if p.cfg.FrequencyCap > 0 && acc.frequency[uid] >= p.cfg.FrequencyCap {
+		if p.cfg.FrequencyCap > 0 && sh.accs[i].frequency[uid] >= p.cfg.FrequencyCap {
 			continue
 		}
-		value := ad.pacing*p.optimizationTerm(ad, u) + p.cfg.Quality
+		value := dir.Pacing*p.optimizationTerm(ad, u) + p.cfg.Quality
 		if p.cfg.ValueNoise > 0 {
 			sigma := p.cfg.ValueNoise
 			value *= math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
@@ -251,16 +283,26 @@ func (p *Platform) shardAuction(sh *deliveryShard, active []*Ad, u population.Us
 		if value > best {
 			second = best
 			best = value
-			winner = ad
+			winner = i
 		} else if value > second {
 			second = value
 		}
 	}
-	if winner == nil {
+	if winner < 0 {
 		return
 	}
+	ad, acc := active[winner], sh.accs[winner]
 	price := math.Max(second, bg)
-	acc := sh.accs[winner.runIdx]
+	if sh.perAuction {
+		// Overspend clamp: never charge past the daily budget. The clamp
+		// cannot change any auction outcome or RNG draw: it only truncates
+		// the single budget-crossing price, and after that charge the ad
+		// is ineligible (spent >= budget) whether or not it was clamped.
+		if budget := float64(ad.DailyBudgetCents) / 100; sh.spent[winner]+price > budget {
+			price = budget - sh.spent[winner]
+		}
+		sh.spent[winner] += price
+	}
 	acc.tickSpent += price
 	acc.impressions++
 	acc.hourly[tick]++
@@ -272,9 +314,12 @@ func (p *Platform) shardAuction(sh *deliveryShard, active []*Ad, u population.Us
 	acc.race[u.Race()]++
 	acc.reached[uid] = struct{}{}
 	acc.frequency[uid]++
-	clicked := rng.Float64() < p.behave.ClickProb(u, winner.Creative.Image)
+	// Traffic objective: record clicks from ground-truth behaviour and log
+	// the served impression into the retraining buffer — the feedback loop
+	// Retrain closes.
+	clicked := rng.Float64() < p.behave.ClickProb(u, ad.Creative.Image)
 	if clicked {
 		acc.clicks++
 	}
-	sh.served = append(sh.served, servedRow{userIdx: uid, ad: winner, clicked: clicked})
+	sh.served = append(sh.served, servedRow{userIdx: uid, ad: ad, clicked: clicked})
 }

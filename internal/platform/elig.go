@@ -87,14 +87,3 @@ func (e *eligIndex) rowOf(user int32) int32 {
 func (e *eligIndex) adsFor(pos int32) []int32 {
 	return e.ads[e.offsets[pos]:e.offsets[pos+1]]
 }
-
-// rowOrder returns the identity position permutation 0..rows-1, the
-// deterministic base order the per-tick seeded shuffles start from
-// (ascending population index, exactly the old sorted user list).
-func (e *eligIndex) rowOrder() []int32 {
-	order := make([]int32, len(e.users))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	return order
-}

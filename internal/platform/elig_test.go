@@ -12,7 +12,7 @@ import (
 func eligAds(audiences ...[]int) []*Ad {
 	ads := make([]*Ad, len(audiences))
 	for i, a := range audiences {
-		ads[i] = &Ad{runIdx: i, audience: a}
+		ads[i] = &Ad{audience: a}
 	}
 	return ads
 }
@@ -106,18 +106,5 @@ func TestEligIndexRandomizedAgainstOracle(t *testing.T) {
 			sort.Ints(audiences[i])
 		}
 		assertMatchesOracle(t, eligAds(audiences...))
-	}
-}
-
-func TestEligIndexRowOrderIsIdentity(t *testing.T) {
-	e := buildEligIndex(eligAds([]int{10, 20}, []int{20, 30}))
-	order := e.rowOrder()
-	if len(order) != e.rows() {
-		t.Fatalf("order length %d, rows %d", len(order), e.rows())
-	}
-	for i, pos := range order {
-		if int(pos) != i {
-			t.Fatalf("order[%d] = %d, want identity", i, pos)
-		}
 	}
 }

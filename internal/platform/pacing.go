@@ -1,11 +1,12 @@
 package platform
 
-// The budget-pacing arithmetic, factored into free functions so every
-// delivery configuration — the in-process sequential oracle, the in-process
-// sharded engine, and an external cross-process coordinator driving shard
-// backends over HTTP — runs the exact same float operations in the exact
-// same order. Byte-identical delivery output across all of them depends on
-// this file being the only place the controller math lives.
+// The budget-pacing arithmetic and the PacingController that drives it.
+// Every delivery day — in-process at any worker count, or coordinated
+// across shard backends over HTTP — is paced by a PacingController, so
+// pacingStep, shardCapShare and commitSpend each have exactly one caller
+// and every configuration runs the exact same float operations in the
+// exact same order. Byte-identical delivery output across all of them
+// depends on this file being the only place the controller math lives.
 
 import (
 	"fmt"
@@ -52,8 +53,8 @@ func shardCapShare(tickCap, budget, spent float64, shards int) float64 {
 
 // commitSpend folds one shard's tick spend into an ad's committed total,
 // clamped so the committed day never exceeds the daily budget — the same
-// overspend clamp the sequential engine applies per auction, applied to the
-// shard batch.
+// overspend clamp a 1-shard day applies per auction, applied to the shard
+// batch.
 func commitSpend(spent, tickSpent, budget float64) float64 {
 	if spent+tickSpent > budget {
 		tickSpent = budget - spent
@@ -102,12 +103,11 @@ type TickReport struct {
 	Auctions int64     `json:"auctions"`
 }
 
-// PacingController replicates the delivery engines' phase-1 pacing update
-// and phase-3 spend commit for an external coordinator driving shard
-// backends over the wire. It calls the same pacingStep / shardCapShare /
-// commitSpend functions the in-process engines call, in the same order, so
-// a coordinated day's committed spend trajectory is bit-identical to the
-// in-process run with the same (ads, seed, shards).
+// PacingController runs the delivery engine's phase-1 pacing update and
+// phase-3 spend commit, for RunDayWorkers in process and for an external
+// coordinator driving shard backends over the wire alike. Both therefore
+// share one committed spend trajectory: a coordinated day is bit-identical
+// to the in-process run with the same (ads, seed, shards).
 //
 // JSON carries the floats without loss: encoding/json emits the shortest
 // round-trip representation of a float64, which decodes to the identical
@@ -122,9 +122,9 @@ type PacingController struct {
 }
 
 // NewPacingController builds the coordinator-side controller from one
-// shard's DayInit. shards is the number of backends the day fans out to;
-// with shards == 1 the directives reproduce the sequential oracle's
-// undivided tick caps, matching the historical golden digests.
+// shard's DayInit. shards is the number of shards the day fans out to;
+// with shards == 1 the directives carry undivided tick caps, matching the
+// historical golden digests.
 func NewPacingController(init *DayInit, shards int) (*PacingController, error) {
 	if init == nil {
 		return nil, fmt.Errorf("platform: pacing controller needs a day init")
@@ -176,10 +176,15 @@ func (c *PacingController) TickDirectives(tick int) []TickDirective {
 // floating-point addition order), clamped at the daily budget. perShard
 // must hold one spend vector per shard, each indexed in run order.
 //
-// A 1-shard day is the sequential oracle, which accumulates spend one
-// clamped auction price at a time — an addition order only the backend
-// itself can reproduce. Its TickReport therefore carries committed absolute
-// spend, and the controller adopts it verbatim instead of folding.
+// A 1-shard day accumulates spend one clamped auction price at a time — an
+// addition order only the shard itself can reproduce. Its TickReport
+// therefore carries committed absolute spend, and the controller adopts it
+// verbatim instead of folding.
+//
+// Reports arrive over the wire, so they are validated before anything is
+// committed: every value must be finite and non-negative, and a 1-shard
+// absolute spend may neither fall below the committed spend nor rise above
+// the budget. An invalid report leaves the controller unchanged.
 func (c *PacingController) CommitTick(perShard [][]float64) error {
 	if len(perShard) != c.shards {
 		return fmt.Errorf("platform: commit got %d shard reports, want %d", len(perShard), c.shards)
@@ -187,6 +192,14 @@ func (c *PacingController) CommitTick(perShard [][]float64) error {
 	for s, spent := range perShard {
 		if len(spent) != len(c.ads) {
 			return fmt.Errorf("platform: shard %d reported %d spends, want %d", s, len(spent), len(c.ads))
+		}
+		for i, v := range spent {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				return fmt.Errorf("platform: shard %d reported spend %v for ad %s", s, v, c.ads[i].AdID)
+			}
+			if c.shards == 1 && (v < c.spent[i] || overBudget(v, float64(c.ads[i].DailyBudgetCents)/100)) {
+				return fmt.Errorf("platform: shard reported spend %v for ad %s, outside [%v, %d¢]", v, c.ads[i].AdID, c.spent[i], c.ads[i].DailyBudgetCents)
+			}
 		}
 	}
 	if c.shards == 1 {
@@ -199,6 +212,14 @@ func (c *PacingController) CommitTick(perShard [][]float64) error {
 		}
 	}
 	return nil
+}
+
+// overBudget reports whether a committed spend lies above the budget. The
+// clamp computes spent + (budget - spent), which can round one ulp above
+// budget, so exactly that much is tolerated: budgets are non-negative, so
+// the next float up is the budget's bit pattern plus one.
+func overBudget(spent, budget float64) bool {
+	return spent > math.Float64frombits(math.Float64bits(budget)+1)
 }
 
 // SpendCents reports the authoritative end-of-day spend per ad in cents,

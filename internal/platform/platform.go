@@ -62,8 +62,8 @@ type Config struct {
 	VisionSeed int64
 	// DeliveryWorkers is the default worker count for RunDay: the number of
 	// deterministic user shards delivery is partitioned across. 0 or 1 runs
-	// the sequential oracle engine; higher counts run the sharded parallel
-	// engine. Output is bit-identical across runs for a fixed worker count;
+	// a 1-shard day, which reproduces the historical sequential output.
+	// Output is bit-identical across runs for a fixed worker count;
 	// different counts give statistically equivalent but distinct days
 	// (each shard has its own seeded RNG stream). See DESIGN.md.
 	DeliveryWorkers int

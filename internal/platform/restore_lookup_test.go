@@ -57,7 +57,7 @@ func TestRestoreThenPIIMatchAndDelivery(t *testing.T) {
 	}
 
 	// Identical ad sets over the restored audience deliver byte-identically
-	// on both platforms, sequential and sharded.
+	// on both platforms, at one shard and at several.
 	img := image.FromProfile(demo.Profile{Gender: demo.GenderFemale, Race: demo.RaceBlack, Age: demo.ImpliedAdult})
 	specs := []diffAdSpec{{img, 500_000}, {img, 700_000}}
 	for _, workers := range []int{1, 4} {
