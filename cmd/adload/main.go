@@ -287,7 +287,7 @@ func selfHost(seed int64, numVoters, logRows, shedCap int, faultCfg faults.Confi
 		closeStore()
 		return nil, nil, nil, err
 	}
-	handler := srv.Handler()
+	var handler http.Handler = srv.Handler()
 	if faultCfg.Rate > 0 {
 		// Register fault counters in the server's own registry so the
 		// end-of-run /metrics scrape reports them next to the serving stats.

@@ -14,16 +14,13 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
@@ -163,7 +160,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	handler := srv.Handler()
+	var handler http.Handler = srv.Handler()
 	if *faultRate > 0 {
 		inj, err := faults.New(faults.Config{Seed: *faultSeed, Rate: *faultRate, Kinds: kinds}, srv.Metrics())
 		if err != nil {
@@ -183,33 +180,12 @@ func run(args []string) error {
 
 	// Serve until the listener fails or a shutdown signal arrives, then
 	// drain in-flight requests and log the final serving counters so a
-	// load-test session ends with a server-side record.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Printf("signal received, draining in-flight requests (budget %s)...\n", *drainTimeout)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	var drainErr error
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		// The drain budget ran out — most likely a delivery day still in
-		// flight. Cut the remaining connections, but keep going: the store
-		// must still flush and snapshot whatever was acked, or the next boot
-		// pays a full WAL replay (and a mid-deliver session is in-memory
-		// only, so nothing durable is lost by cutting it).
-		drainErr = fmt.Errorf("drain timed out after %s (in-flight requests cut): %w", *drainTimeout, err)
-		_ = httpSrv.Close()
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		drainErr = errors.Join(drainErr, err)
-	}
+	// load-test session ends with a server-side record. A drain that runs
+	// out of budget still closes the store: it must flush and snapshot
+	// whatever was acked, or the next boot pays a full WAL replay (and a
+	// mid-deliver session is in-memory only, so nothing durable is lost by
+	// cutting it).
+	drainErr := marketing.ServeUntilSignal(httpSrv, ln, *drainTimeout)
 	if st != nil {
 		// In-flight requests are drained (or cut), so the WAL tail is final:
 		// flush it, write the shutdown snapshot, and log where a restart will

@@ -29,7 +29,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -37,15 +36,14 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/coordinator"
 	"github.com/adaudit/impliedidentity/internal/faults"
+	"github.com/adaudit/impliedidentity/internal/marketing"
 	"github.com/adaudit/impliedidentity/internal/obs"
 	"github.com/adaudit/impliedidentity/internal/privacy"
 	"github.com/adaudit/impliedidentity/internal/supervisor"
@@ -168,9 +166,6 @@ func run(args []string) error {
 	}
 	httpSrv := &http.Server{Handler: router.Handler(), ReadHeaderTimeout: 10 * time.Second}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	if *supervise {
 		// A nil *ProcessRelauncher must stay a nil interface: re-attach-only
 		// mode (an external process manager restarts the children).
@@ -178,30 +173,16 @@ func run(args []string) error {
 		if rel != nil {
 			relIface = rel
 		}
+		// The supervisor keeps healing the fleet through the drain; on exit
+		// the cancel cuts its in-flight pass short before Stop joins it.
+		ctx, cancel := context.WithCancel(context.Background())
 		sup := supervisor.New(coord, relIface, supervisor.Config{ProbeInterval: *probeInterval, Logf: log.Printf}, reg)
 		sup.Start(ctx)
 		defer sup.Stop()
+		defer cancel()
 		fmt.Printf("fleet supervisor running (probe every %s, relaunch %v)\n", *probeInterval, rel != nil)
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Printf("signal received, draining in-flight requests (budget %s)...\n", *drainTimeout)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	var drainErr error
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		drainErr = fmt.Errorf("drain timed out after %s: %w", *drainTimeout, err)
-		_ = httpSrv.Close()
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		drainErr = errors.Join(drainErr, err)
-	}
+	drainErr := marketing.ServeUntilSignal(httpSrv, ln, *drainTimeout)
 	fmt.Println("final router metrics:")
 	fmt.Print(reg.Snapshot().String())
 	return drainErr

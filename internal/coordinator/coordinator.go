@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -367,18 +366,13 @@ func (c *Coordinator) scatter(ctx context.Context, op string, targets []*shardCo
 // CreateAudience fans an audience upload out to every admitted shard and
 // asserts the shards matched identically; quarantined shards catch up
 // through the journal.
-func (c *Coordinator) CreateAudience(ctx context.Context, inboundKey, name string, piiHashes []string) (*marketing.CreateAudienceResponse, error) {
+func (c *Coordinator) CreateAudience(ctx context.Context, req marketing.CreateAudienceRequest) (*marketing.CreateAudienceResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, err := runMutation(ctx, c, mutationSpec[marketing.CreateAudienceResponse]{
-		op:         "create audience",
-		inboundKey: inboundKey,
-		call: func(ctx context.Context, sc *shardConn) (marketing.CreateAudienceResponse, error) {
-			r, err := sc.client.CreateAudience(ctx, name, piiHashes)
-			if err != nil {
-				return marketing.CreateAudienceResponse{}, err
-			}
-			return *r, nil
+	return runMutation(ctx, c, mutationSpec[marketing.CreateAudienceResponse]{
+		op: "create audience",
+		call: func(ctx context.Context, sc *shardConn) (*marketing.CreateAudienceResponse, error) {
+			return sc.client.CreateAudience(ctx, req.Name, req.PIIHashes)
 		},
 		same: func(a, b marketing.CreateAudienceResponse) bool {
 			return a.ID == b.ID && a.MatchedSize == b.MatchedSize
@@ -387,32 +381,23 @@ func (c *Coordinator) CreateAudience(ctx context.Context, inboundKey, name strin
 		record: func(r marketing.CreateAudienceResponse) *journalEntry {
 			return &journalEntry{
 				kind:           entryAudience,
-				audienceName:   name,
-				audienceHashes: append([]string(nil), piiHashes...),
+				audienceName:   req.Name,
+				audienceHashes: append([]string(nil), req.PIIHashes...),
 				wantID:         r.ID,
 				wantMatched:    r.MatchedSize,
 			}
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }
 
 // CreateCampaign fans a campaign create out to every admitted shard.
-func (c *Coordinator) CreateCampaign(ctx context.Context, inboundKey string, req marketing.CreateCampaignRequest) (*marketing.CreateCampaignResponse, error) {
+func (c *Coordinator) CreateCampaign(ctx context.Context, req marketing.CreateCampaignRequest) (*marketing.CreateCampaignResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, err := runMutation(ctx, c, mutationSpec[marketing.CreateCampaignResponse]{
-		op:         "create campaign",
-		inboundKey: inboundKey,
-		call: func(ctx context.Context, sc *shardConn) (marketing.CreateCampaignResponse, error) {
-			r, err := sc.client.CreateCampaign(ctx, req)
-			if err != nil {
-				return marketing.CreateCampaignResponse{}, err
-			}
-			return *r, nil
+	return runMutation(ctx, c, mutationSpec[marketing.CreateCampaignResponse]{
+		op: "create campaign",
+		call: func(ctx context.Context, sc *shardConn) (*marketing.CreateCampaignResponse, error) {
+			return sc.client.CreateCampaign(ctx, req)
 		},
 		same:   func(a, b marketing.CreateCampaignResponse) bool { return a.ID == b.ID },
 		render: func(r marketing.CreateCampaignResponse) string { return r.ID },
@@ -420,27 +405,18 @@ func (c *Coordinator) CreateCampaign(ctx context.Context, inboundKey string, req
 			return &journalEntry{kind: entryCampaign, campaignReq: req, wantID: r.ID}
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }
 
 // CreateAd fans an ad create out to every admitted shard. The review RNG is
 // seeded identically on every backend, so the review outcome must also
 // agree.
-func (c *Coordinator) CreateAd(ctx context.Context, inboundKey string, req marketing.CreateAdRequest) (*marketing.AdResponse, error) {
+func (c *Coordinator) CreateAd(ctx context.Context, req marketing.CreateAdRequest) (*marketing.AdResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, err := runMutation(ctx, c, mutationSpec[marketing.AdResponse]{
-		op:         "create ad",
-		inboundKey: inboundKey,
-		call: func(ctx context.Context, sc *shardConn) (marketing.AdResponse, error) {
-			r, err := sc.client.CreateAd(ctx, req)
-			if err != nil {
-				return marketing.AdResponse{}, err
-			}
-			return *r, nil
+	return runMutation(ctx, c, mutationSpec[marketing.AdResponse]{
+		op: "create ad",
+		call: func(ctx context.Context, sc *shardConn) (*marketing.AdResponse, error) {
+			return sc.client.CreateAd(ctx, req)
 		},
 		same: func(a, b marketing.AdResponse) bool {
 			return a.ID == b.ID && a.Status == b.Status
@@ -450,25 +426,16 @@ func (c *Coordinator) CreateAd(ctx context.Context, inboundKey string, req marke
 			return &journalEntry{kind: entryAd, adReq: req, wantID: r.ID, wantStatus: r.Status}
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }
 
 // AppealAd fans an appeal out to every admitted shard.
-func (c *Coordinator) AppealAd(ctx context.Context, inboundKey, adID string) (*marketing.AdResponse, error) {
+func (c *Coordinator) AppealAd(ctx context.Context, adID string) (*marketing.AdResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, err := runMutation(ctx, c, mutationSpec[marketing.AdResponse]{
-		op:         "appeal ad",
-		inboundKey: inboundKey,
-		call: func(ctx context.Context, sc *shardConn) (marketing.AdResponse, error) {
-			r, err := sc.client.AppealAd(ctx, adID)
-			if err != nil {
-				return marketing.AdResponse{}, err
-			}
-			return *r, nil
+	return runMutation(ctx, c, mutationSpec[marketing.AdResponse]{
+		op: "appeal ad",
+		call: func(ctx context.Context, sc *shardConn) (*marketing.AdResponse, error) {
+			return sc.client.AppealAd(ctx, adID)
 		},
 		same:   func(a, b marketing.AdResponse) bool { return a.Status == b.Status },
 		render: func(r marketing.AdResponse) string { return r.Status },
@@ -476,10 +443,6 @@ func (c *Coordinator) AppealAd(ctx context.Context, inboundKey, adID string) (*m
 			return &journalEntry{kind: entryAppeal, appealAdID: adID, wantStatus: r.Status}
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }
 
 // GetAd reads an ad's status from the first admitted shard that answers, in
@@ -586,20 +549,7 @@ func mergeInsights(shards []*shardConn, parts []*marketing.InsightsResponse) (*m
 			}
 		}
 	}
-	for key, n := range cells {
-		key.Impressions = n
-		m.Breakdown = append(m.Breakdown, key)
-	}
-	sort.Slice(m.Breakdown, func(i, j int) bool {
-		a, b := m.Breakdown[i], m.Breakdown[j]
-		if a.Age != b.Age {
-			return a.Age < b.Age
-		}
-		if a.Gender != b.Gender {
-			return a.Gender < b.Gender
-		}
-		return a.Region < b.Region
-	})
+	m.Breakdown = marketing.BreakdownRows(cells)
 	return m, nil
 }
 

@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/faults"
@@ -48,8 +49,16 @@ type dayRecord struct {
 // inline (it already holds the fleet mutex the supervisor's TryRejoin would
 // contend on), which is how a day survives a mid-day shard crash: the shard
 // is relaunched by the supervisor, rejoined here, and the day re-runs
-// byte-identically.
-func (c *Coordinator) Deliver(ctx context.Context, adIDs []string, seed int64) error {
+// byte-identically. An explicit worker count other than the shard count is
+// refused with a 400.
+func (c *Coordinator) Deliver(ctx context.Context, req marketing.DeliverRequest) (*marketing.DeliverResponse, error) {
+	// The fleet topology fixes the shard count; a mismatched explicit
+	// worker count would silently deliver a different (equally valid but
+	// different-stream) day than the caller expects.
+	if req.Workers != 0 && req.Workers != len(c.shards) {
+		return nil, marketing.WithStatus(http.StatusBadRequest, fmt.Errorf(
+			"coordinator: workers=%d conflicts with the %d-shard topology (omit workers or match it)", req.Workers, len(c.shards)))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start := c.clock.Now()
@@ -73,7 +82,7 @@ func (c *Coordinator) Deliver(ctx context.Context, adIDs []string, seed int64) e
 		// below converges the day state so a later pass can succeed.
 		c.rejoinQuarantinedLocked(ctx)
 		var err error
-		committed, pending, statusErr := c.dayStatus(ctx, adIDs, attempt)
+		committed, pending, statusErr := c.dayStatus(ctx, req.AdIDs, attempt)
 		switch {
 		case statusErr != nil:
 			err = statusErr
@@ -88,7 +97,7 @@ func (c *Coordinator) Deliver(ctx context.Context, adIDs []string, seed int64) e
 			// the pending shards directly and is exactly what converges a
 			// quarantined shard's day state.
 			if rec == nil || rec.cents == nil {
-				return fmt.Errorf("coordinator: day partially committed with no replayable record (shards %v pending): %w", pending, lastErr)
+				return nil, fmt.Errorf("coordinator: day partially committed with no replayable record (shards %v pending): %w", pending, lastErr)
 			}
 			err = c.replayDay(ctx, rec, pending)
 		case len(c.quarantinedIdx()) > 0:
@@ -97,31 +106,31 @@ func (c *Coordinator) Deliver(ctx context.Context, adIDs []string, seed int64) e
 			err = fmt.Errorf("coordinator: day needs full fleet, shards %v quarantined: %w", c.quarantinedIdx(), ErrShardDown)
 		default:
 			rec = &dayRecord{
-				session: fmt.Sprintf("day-%d-%d", seed, daySeq),
-				adIDs:   adIDs,
-				seed:    seed,
+				session: fmt.Sprintf("day-%d-%d", req.Seed, daySeq),
+				adIDs:   req.AdIDs,
+				seed:    req.Seed,
 			}
 			err = c.runDayOnce(ctx, rec)
 		}
 		if err == nil {
 			c.reg.Counter(MetricDays).Inc()
 			c.reg.Histogram(MetricDayLatency).Observe(c.clock.Now().Sub(start))
-			return nil
+			return &marketing.DeliverResponse{Delivered: len(req.AdIDs)}, nil
 		}
 		lastErr = err
 		if rec != nil {
 			c.abortDay(rec.session)
 		}
 		if ctx.Err() != nil {
-			return lastErr
+			return nil, lastErr
 		}
 		if !marketing.Retryable(err) && !marketing.IsSessionConflict(err) && !errors.Is(err, ErrShardDown) {
 			// Terminal API answer (validation, divergence): re-running the
 			// day would only repeat it.
-			return lastErr
+			return nil, lastErr
 		}
 	}
-	return fmt.Errorf("%w: %d attempts: %w", ErrDayExhausted, c.cfg.DayAttempts, lastErr)
+	return nil, fmt.Errorf("%w: %d attempts: %w", ErrDayExhausted, c.cfg.DayAttempts, lastErr)
 }
 
 // dayBackoff is the wait before retry `attempt`: exponential from DayBackoff,

@@ -20,7 +20,6 @@ package coordinator
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"github.com/adaudit/impliedidentity/internal/marketing"
@@ -28,20 +27,28 @@ import (
 	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
 
-// Typed fleet-degradation errors. The router maps each onto 503 +
-// Retry-After: the condition is real but expected to clear — callers retry.
+// Typed fleet-degradation errors. Each wraps marketing.ErrUnavailable, so
+// the router answers 503 + Retry-After: the condition is real but expected
+// to clear — callers retry.
 var (
 	// ErrShardDown marks an operation that cannot be served while a shard is
 	// quarantined (delivery days, partitioned insights, an empty read pool).
-	ErrShardDown = errors.New("coordinator: shard quarantined")
+	ErrShardDown error = &fleetError{"coordinator: shard quarantined"}
 	// ErrJournalFull marks a mutation refused because the catch-up journal
 	// is at capacity: accepting it would either lose it (eviction) or grow
 	// without bound.
-	ErrJournalFull = errors.New("coordinator: mutation journal full")
+	ErrJournalFull error = &fleetError{"coordinator: mutation journal full"}
 	// ErrDayExhausted marks a delivery day abandoned after the configured
 	// attempt budget.
-	ErrDayExhausted = errors.New("coordinator: delivery day attempts exhausted")
+	ErrDayExhausted error = &fleetError{"coordinator: delivery day attempts exhausted"}
 )
+
+// fleetError is a fleet-degradation sentinel: its own message, unwrapping
+// to marketing.ErrUnavailable.
+type fleetError struct{ msg string }
+
+func (e *fleetError) Error() string { return e.msg }
+func (e *fleetError) Unwrap() error { return marketing.ErrUnavailable }
 
 // Journal entry kinds — one per replicated CRUD mutation.
 const (
@@ -142,11 +149,9 @@ func (j *mutationJournal) dropShard(shard int) {
 type mutationSpec[T any] struct {
 	// op labels metrics and errors ("create ad").
 	op string
-	// inboundKey is the caller's idempotency key ("" mints a fleet key).
-	inboundKey string
 	// call executes the mutation on one shard (the idempotency key is
 	// already on the context).
-	call func(ctx context.Context, sc *shardConn) (T, error)
+	call func(ctx context.Context, sc *shardConn) (*T, error)
 	// same reports cross-shard response agreement; render formats a
 	// response for the divergence error.
 	same   func(a, b T) bool
@@ -162,19 +167,19 @@ type mutationSpec[T any] struct {
 // score crossed to down is quarantined inline and journaled instead of
 // failing the fleet; failures on shards that are still considered healthy
 // fail the mutation as before (the caller's idempotent retry converges).
-func runMutation[T any](ctx context.Context, c *Coordinator, spec mutationSpec[T]) (T, error) {
-	var zero T
-	key := spec.inboundKey
+func runMutation[T any](ctx context.Context, c *Coordinator, spec mutationSpec[T]) (*T, error) {
+	// The caller's idempotency key rides on ctx; "" mints a fleet key.
+	key := marketing.IdempotencyKeyFrom(ctx)
 	if key == "" {
 		key = c.mintFleetKey()
 	}
 	admitted, quarantined := c.admissionSnapshot()
 	if len(admitted) == 0 {
-		return zero, fmt.Errorf("coordinator: %s: no admitted shards: %w", spec.op, ErrShardDown)
+		return nil, fmt.Errorf("coordinator: %s: no admitted shards: %w", spec.op, ErrShardDown)
 	}
 	if len(quarantined) > 0 && c.journal.full() && c.journal.byKey[key] == nil {
 		c.reg.Counter(MetricJournalRejects).Inc()
-		return zero, fmt.Errorf("coordinator: %s: %w (%d entries queued for shards %v)",
+		return nil, fmt.Errorf("coordinator: %s: %w (%d entries queued for shards %v)",
 			spec.op, ErrJournalFull, c.journal.depth(), quarantined)
 	}
 
@@ -184,7 +189,7 @@ func runMutation[T any](ctx context.Context, c *Coordinator, spec mutationSpec[T
 		if err != nil {
 			return err
 		}
-		out[sc.index] = &resp
+		out[sc.index] = resp
 		return nil
 	})
 
@@ -207,7 +212,7 @@ func runMutation[T any](ctx context.Context, c *Coordinator, spec mutationSpec[T
 		}
 	}
 	if firstErr != nil {
-		return zero, firstErr
+		return nil, firstErr
 	}
 
 	var ref *T
@@ -222,11 +227,11 @@ func runMutation[T any](ctx context.Context, c *Coordinator, spec mutationSpec[T
 			continue
 		}
 		if !spec.same(*resp, *ref) {
-			return zero, divergence(spec.op, sc, spec.render(*resp), spec.render(*ref))
+			return nil, divergence(spec.op, sc, spec.render(*resp), spec.render(*ref))
 		}
 	}
 	if ref == nil {
-		return zero, fmt.Errorf("coordinator: %s: every shard went down mid-mutation: %w", spec.op, ErrShardDown)
+		return nil, fmt.Errorf("coordinator: %s: every shard went down mid-mutation: %w", spec.op, ErrShardDown)
 	}
 
 	if len(quarantined) > 0 {
@@ -234,10 +239,10 @@ func runMutation[T any](ctx context.Context, c *Coordinator, spec mutationSpec[T
 			// The mutation applied on the admitted shards but could not be
 			// recorded; fail the call so the caller's idempotent retry
 			// re-runs it (admitted shards dedupe) and records it.
-			return zero, fmt.Errorf("coordinator: %s applied but not journaled, retry: %w", spec.op, err)
+			return nil, fmt.Errorf("coordinator: %s applied but not journaled, retry: %w", spec.op, err)
 		}
 	}
-	return *ref, nil
+	return ref, nil
 }
 
 // journalAppend records one executed mutation for the given quarantined

@@ -1,20 +1,16 @@
 package coordinator
 
-// The router's HTTP surface: the same advertiser-facing API the marketing
-// server exposes, plus operator routes (topology, inventory, metrics), so
-// audit tooling points at a router exactly as it would at a single backend.
-// Mutating routes carry the same resilience chain as the marketing server —
-// instrumentation, load shedding, idempotency replay, panic recovery,
-// timeouts, body limits — reusing the obs middleware and the marketing
-// package's exported idempotency cache.
+// The router's HTTP surface is the marketing server itself, serving the
+// Coordinator as its backend: the same handlers, resilience chain, request
+// validation and error-to-status map a single adplatform process uses, so
+// audit tooling points at a router exactly as it would at one backend. The
+// router adds one operator route, GET /v1/topology. Its server runs with
+// privacy off: Coordinator.Insights privatizes the merged report itself.
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strings"
-	"time"
 
 	"github.com/adaudit/impliedidentity/internal/marketing"
 	"github.com/adaudit/impliedidentity/internal/obs"
@@ -29,17 +25,10 @@ type TopologyResponse struct {
 	Admitted []bool   `json:"admitted,omitempty"`
 }
 
-// deliverTimeout caps a coordinated delivery day's wall time, separately
-// from the ordinary request timeout: a day is hundreds of fan-out RPCs plus
-// potential whole-day restarts after a shard crash.
-const deliverTimeout = 15 * time.Minute
-
 // Router serves the advertiser API over a Coordinator.
 type Router struct {
-	c      *Coordinator
-	reg    *obs.Registry
-	limits marketing.ServerLimits
-	idem   *marketing.IdempotencyCache
+	c   *Coordinator
+	srv *marketing.Server
 }
 
 // NewRouter wraps a coordinator in the HTTP API, instrumenting into the
@@ -48,194 +37,22 @@ func NewRouter(c *Coordinator, reg *obs.Registry) (*Router, error) {
 	if c == nil {
 		return nil, fmt.Errorf("coordinator: nil coordinator")
 	}
-	if reg == nil {
-		reg = obs.NewRegistry()
+	srv, err := marketing.NewBackendServer(c, marketing.WithRegistry(reg))
+	if err != nil {
+		return nil, err
 	}
-	return &Router{c: c, reg: reg, limits: marketing.DefaultServerLimits(), idem: marketing.NewIdempotencyCache()}, nil
+	return &Router{c: c, srv: srv}, nil
 }
 
 // Metrics returns the router's metrics registry.
-func (rt *Router) Metrics() *obs.Registry { return rt.reg }
+func (rt *Router) Metrics() *obs.Registry { return rt.srv.Metrics() }
 
-// Handler returns the routing table with the full resilience chain, mirror
-// of the marketing server's (see marketing.Server.Handler for the ordering
-// rationale).
+// Handler returns the marketing server's routing table plus the topology
+// route.
 func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	handle := func(pattern string, timeout time.Duration, fn http.HandlerFunc) {
-		var h http.Handler = fn
-		h = obs.BodyLimit(rt.limits.MaxBodyBytes, h)
-		h = obs.Timeout(rt.reg, timeout, h)
-		h = obs.Recover(rt.reg, h)
-		if strings.HasPrefix(pattern, "POST ") {
-			h = rt.idem.Middleware(rt.reg, h)
-		}
-		h = obs.LoadShed(rt.reg, rt.limits.MaxInFlight, h)
-		mux.Handle(pattern, obs.Instrument(rt.reg, pattern, h))
-	}
-	handle("POST /v1/customaudiences", rt.limits.RequestTimeout, rt.handleCreateAudience)
-	handle("POST /v1/campaigns", rt.limits.RequestTimeout, rt.handleCreateCampaign)
-	handle("POST /v1/ads", rt.limits.RequestTimeout, rt.handleCreateAd)
-	handle("POST /v1/ads/{id}/appeal", rt.limits.RequestTimeout, rt.handleAppeal)
-	handle("GET /v1/ads/{id}", rt.limits.RequestTimeout, rt.handleGetAd)
-	handle("POST /v1/deliver", deliverTimeout, rt.handleDeliver)
-	handle("GET /v1/insights", rt.limits.RequestTimeout, rt.handleInsights)
-	mux.Handle("GET /metrics", obs.MetricsHandler(rt.reg))
-	mux.Handle("GET /healthz", obs.HealthzHandler(rt.reg))
+	mux := rt.srv.Handler()
 	mux.HandleFunc("GET /v1/topology", rt.handleTopology)
-	mux.HandleFunc("GET /debug/inventory", rt.handleInventory)
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// degradedRetryAfter is the Retry-After hint for fleet-degradation 503s:
-// roughly one supervisor probe/rejoin cycle, so a well-behaved client's next
-// idempotent retry lands after the fleet had a chance to heal.
-const degradedRetryAfter = "2"
-
-// writeRouterError maps a coordinator error onto the wire. Backend API
-// answers pass through with their own status (the router adds nothing to a
-// 400/404/409); fleet-degradation errors — a quarantined shard, a full
-// catch-up journal, an exhausted day budget — are 503 + Retry-After, the
-// "try again after the fleet heals" contract idempotent clients compose
-// with; everything else — transport failures, open breakers, divergence —
-// is the router's own 502.
-func writeRouterError(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrShardDown) || errors.Is(err, ErrJournalFull) || errors.Is(err, ErrDayExhausted) {
-		w.Header().Set("Retry-After", degradedRetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, marketing.ErrorResponse{Error: err.Error()})
-		return
-	}
-	code := http.StatusBadGateway
-	var apiErr *marketing.APIError
-	if errors.As(err, &apiErr) {
-		code = apiErr.StatusCode
-	}
-	writeJSON(w, code, marketing.ErrorResponse{Error: err.Error()})
-}
-
-func decode[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
-	var v T
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				marketing.ErrorResponse{Error: fmt.Sprintf("coordinator: request body exceeds %d bytes", tooBig.Limit)})
-			return v, false
-		}
-		writeJSON(w, http.StatusBadRequest,
-			marketing.ErrorResponse{Error: fmt.Sprintf("coordinator: malformed request: %v", err)})
-		return v, false
-	}
-	return v, true
-}
-
-// inboundKey extracts the caller's idempotency key for fan-out forwarding.
-func inboundKey(r *http.Request) string {
-	return r.Header.Get(marketing.IdempotencyKeyHeader)
-}
-
-func (rt *Router) handleCreateAudience(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[marketing.CreateAudienceRequest](w, r)
-	if !ok {
-		return
-	}
-	resp, err := rt.c.CreateAudience(r.Context(), inboundKey(r), req.Name, req.PIIHashes)
-	if err != nil {
-		writeRouterError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-func (rt *Router) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[marketing.CreateCampaignRequest](w, r)
-	if !ok {
-		return
-	}
-	resp, err := rt.c.CreateCampaign(r.Context(), inboundKey(r), req)
-	if err != nil {
-		writeRouterError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-func (rt *Router) handleCreateAd(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[marketing.CreateAdRequest](w, r)
-	if !ok {
-		return
-	}
-	resp, err := rt.c.CreateAd(r.Context(), inboundKey(r), req)
-	if err != nil {
-		writeRouterError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-func (rt *Router) handleAppeal(w http.ResponseWriter, r *http.Request) {
-	resp, err := rt.c.AppealAd(r.Context(), inboundKey(r), r.PathValue("id"))
-	if err != nil {
-		writeRouterError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) handleGetAd(w http.ResponseWriter, r *http.Request) {
-	resp, err := rt.c.GetAd(r.Context(), r.PathValue("id"))
-	if err != nil {
-		writeRouterError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) handleDeliver(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[marketing.DeliverRequest](w, r)
-	if !ok {
-		return
-	}
-	// The fleet topology fixes the shard count; a mismatched explicit
-	// worker count would silently deliver a different (equally valid but
-	// different-stream) day than the caller expects.
-	if req.Workers != 0 && req.Workers != rt.c.Shards() {
-		writeJSON(w, http.StatusBadRequest, marketing.ErrorResponse{
-			Error: fmt.Sprintf("coordinator: workers=%d conflicts with the %d-shard topology (omit workers or match it)", req.Workers, rt.c.Shards()),
-		})
-		return
-	}
-	if err := rt.c.Deliver(r.Context(), req.AdIDs, req.Seed); err != nil {
-		writeRouterError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, marketing.DeliverResponse{Delivered: len(req.AdIDs)})
-}
-
-func (rt *Router) handleInsights(w http.ResponseWriter, r *http.Request) {
-	adID := r.URL.Query().Get("ad_id")
-	if adID == "" {
-		writeJSON(w, http.StatusBadRequest, marketing.ErrorResponse{Error: "coordinator: ad_id query parameter required"})
-		return
-	}
-	var dims []string
-	if raw := r.URL.Query().Get("breakdown"); raw != "" {
-		dims = strings.Split(raw, ",")
-	}
-	resp, err := rt.c.Insights(r.Context(), adID, dims)
-	if err != nil {
-		writeRouterError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleTopology(w http.ResponseWriter, _ *http.Request) {
@@ -246,19 +63,11 @@ func (rt *Router) handleTopology(w http.ResponseWriter, _ *http.Request) {
 		health[i] = st.String()
 		admitted[i] = rt.c.isAdmitted(i)
 	}
-	writeJSON(w, http.StatusOK, TopologyResponse{
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(TopologyResponse{
 		Shards:   rt.c.Shards(),
 		Backends: rt.c.Backends(),
 		Health:   health,
 		Admitted: admitted,
 	})
-}
-
-func (rt *Router) handleInventory(w http.ResponseWriter, r *http.Request) {
-	inv, err := rt.c.Inventory(r.Context())
-	if err != nil {
-		writeRouterError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, inv)
 }

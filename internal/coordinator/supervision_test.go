@@ -307,7 +307,7 @@ func TestDeliverExhaustionTyped(t *testing.T) {
 		func(cfg *Config) { cfg.DayAttempts = 3 })
 	ids := setupAccount(t, client, 1)
 
-	err := coord.Deliver(ctx, ids, 9700)
+	_, err := coord.Deliver(ctx, marketing.DeliverRequest{AdIDs: ids, Seed: 9700})
 	if !errors.Is(err, ErrDayExhausted) {
 		t.Fatalf("exhausted day error = %v, want ErrDayExhausted", err)
 	}

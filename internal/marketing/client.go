@@ -373,6 +373,12 @@ func WithIdempotencyKey(ctx context.Context, key string) context.Context {
 	return context.WithValue(ctx, idemKeyContextKey{}, key)
 }
 
+// IdempotencyKeyFrom returns the key WithIdempotencyKey put on ctx, or "".
+func IdempotencyKeyFrom(ctx context.Context) string {
+	k, _ := ctx.Value(idemKeyContextKey{}).(string)
+	return k
+}
+
 // do runs one API call through the full resilience stack: breaker gate,
 // throttle, attempt, classify, back off, retry. Mutating methods carry an
 // idempotency key that stays constant across retries, so the server can
@@ -387,9 +393,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 	idemKey := ""
 	if method != http.MethodGet {
-		if k, _ := ctx.Value(idemKeyContextKey{}).(string); k != "" {
-			idemKey = k
-		} else {
+		if idemKey = IdempotencyKeyFrom(ctx); idemKey == "" {
 			idemKey = c.nextIdempotencyKey()
 		}
 	}

@@ -21,26 +21,6 @@ const MetricIdempotentReplays = "http.idempotent_replays"
 // that one call, which is the pre-idempotency behavior, not corruption.
 const maxIdemEntries = 100_000
 
-// IdempotencyCache is the exported handle to the execute-once-per-key
-// response cache, for HTTP frontends outside this package (the
-// coordinator's router) that need the same semantics on their own mutating
-// routes. The marketing server wires its private cache itself.
-type IdempotencyCache struct {
-	c *idemCache
-}
-
-// NewIdempotencyCache builds an empty cache.
-func NewIdempotencyCache() *IdempotencyCache {
-	return &IdempotencyCache{c: newIdemCache()}
-}
-
-// Middleware wraps a mutating endpoint with execute-once-per-key semantics:
-// the first request bearing an Idempotency-Key executes, later ones replay
-// the stored response byte for byte; 5xx responses are never memoized.
-func (ic *IdempotencyCache) Middleware(reg *obs.Registry, next http.Handler) http.Handler {
-	return ic.c.middleware(reg, next)
-}
-
 // idemEntry memoizes one execution's response. done closes when the first
 // execution finishes; the response fields are immutable afterwards.
 // Retry-After rides along with the status: a 503 whose header is dropped in

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
-	"sort"
+	"os"
+	"os/signal"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/obs"
@@ -22,7 +25,7 @@ import (
 // queueing into collapse.
 type ServerLimits struct {
 	// RequestTimeout caps one request's wall time (503 past it). Zero
-	// disables the cap.
+	// disables the cap. POST /v1/deliver has its own cap, deliverTimeout.
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps the request body (413 past it). Zero disables.
 	MaxBodyBytes int64
@@ -84,10 +87,19 @@ func WithPrivacy(cfg privacy.Config) ServerOption {
 	return func(s *Server) { s.privacy.Store(&cfg) }
 }
 
-// Server wraps a platform in the HTTP API. It is safe for concurrent use:
-// the platform itself serializes mutating calls behind its account lock
-// (as a real API would serialize per-account writes) while read endpoints
-// proceed concurrently, so the server adds no locking of its own. Every
+// deliverTimeout caps POST /v1/deliver instead of RequestTimeout, on every
+// backend: a delivery day is a whole simulated day of auctions, and in a
+// fleet it is hundreds of fan-out RPCs plus whole-day restarts after a shard
+// crash.
+const deliverTimeout = 15 * time.Minute
+
+// Server serves a Backend as the HTTP marketing API. Over a platform
+// (NewServer) it is one adplatform process and also serves the shard
+// delivery protocol the coordinator drives; over the coordinator
+// (coordinator.NewRouter) it is the fleet's router. It is safe for
+// concurrent use and adds no locking of its own: the platform serializes
+// mutating calls behind its account lock (as a real API would serialize
+// per-account writes) and the coordinator serializes its fan-outs. Every
 // endpoint is instrumented into the server's metrics registry, exposed at
 // GET /metrics with a liveness probe at GET /healthz.
 //
@@ -96,6 +108,9 @@ func WithPrivacy(cfg privacy.Config) ServerOption {
 // per-request timeouts, and request-body limits, each counted in the
 // registry.
 type Server struct {
+	b Backend
+	// p is the platform behind b, nil for any other backend. Only a
+	// platform server speaks the shard protocol and dumps /debug/state.
 	p       *platform.Platform
 	reg     *obs.Registry
 	limits  ServerLimits
@@ -107,12 +122,27 @@ type Server struct {
 	privacy atomic.Pointer[privacy.Config]
 }
 
-// NewServer wraps a platform.
+// NewServer serves one platform.
 func NewServer(p *platform.Platform, opts ...ServerOption) (*Server, error) {
 	if p == nil {
 		return nil, fmt.Errorf("marketing: nil platform")
 	}
-	s := &Server{p: p, reg: obs.NewRegistry(), limits: DefaultServerLimits(), idem: newIdemCache()}
+	s, err := NewBackendServer(platformBackend{p}, opts...)
+	if err != nil {
+		return nil, err
+	}
+	s.p = p
+	return s, nil
+}
+
+// NewBackendServer serves any Backend. A backend that privatizes insights
+// itself (the coordinator merges, then privatizes) leaves the server's
+// privacy policy off; PrivatizeInsights never privatizes a response twice.
+func NewBackendServer(b Backend, opts ...ServerOption) (*Server, error) {
+	if b == nil {
+		return nil, fmt.Errorf("marketing: nil backend")
+	}
+	s := &Server{b: b, reg: obs.NewRegistry(), limits: DefaultServerLimits(), idem: newIdemCache()}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -147,12 +177,17 @@ func (s *Server) privacyConfig() privacy.Config {
 // timeout → body limit → handler. Shedding sits outside idempotency so a
 // shed request consumes nothing; recovery sits outside the timeout because
 // http.TimeoutHandler re-panics handler panics in the serving goroutine.
-func (s *Server) Handler() http.Handler {
+// The mux is returned so a frontend can add operator routes of its own.
+func (s *Server) Handler() *http.ServeMux {
 	mux := http.NewServeMux()
 	handle := func(pattern string, fn http.HandlerFunc) {
+		timeout := s.limits.RequestTimeout
+		if pattern == "POST /v1/deliver" {
+			timeout = deliverTimeout
+		}
 		var h http.Handler = fn
 		h = obs.BodyLimit(s.limits.MaxBodyBytes, h)
-		h = obs.Timeout(s.reg, s.limits.RequestTimeout, h)
+		h = obs.Timeout(s.reg, timeout, h)
 		h = obs.Recover(s.reg, h)
 		if strings.HasPrefix(pattern, "POST ") {
 			h = s.idem.middleware(s.reg, h)
@@ -167,6 +202,14 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /v1/ads/{id}", s.handleGetAd)
 	handle("POST /v1/deliver", s.handleDeliver)
 	handle("GET /v1/insights", s.handleInsights)
+	mux.Handle("GET /metrics", obs.MetricsHandler(s.reg))
+	mux.Handle("GET /healthz", obs.HealthzHandler(s.reg))
+	// Operational census, not part of the advertiser API: the crash-recovery
+	// smoke test diffs it across a kill/restart.
+	mux.HandleFunc("GET /debug/inventory", s.handleInventory)
+	if s.p == nil {
+		return mux
+	}
 	// Shard-scoped delivery protocol (see shard.go): the coordinator's
 	// operator plane, not part of the advertiser API.
 	handle("POST /v1/shard/delivery/begin", s.handleBeginDay)
@@ -176,11 +219,6 @@ func (s *Server) Handler() http.Handler {
 	// Rejoin handshake: state digest + census for the supervisor's
 	// digest-gated readmission of a resurrected shard.
 	handle("GET /v1/shard/status", s.handleShardStatus)
-	mux.Handle("GET /metrics", obs.MetricsHandler(s.reg))
-	mux.Handle("GET /healthz", obs.HealthzHandler(s.reg))
-	// Operational census, not part of the advertiser API: the crash-recovery
-	// smoke test diffs it across a kill/restart.
-	mux.HandleFunc("GET /debug/inventory", s.handleInventory)
 	// Full serialized account state — the exact bytes the rejoin digest
 	// hashes. A digest-gate failure is undiagnosable from the hash alone;
 	// diffing two shards' /debug/state dumps names the diverging field.
@@ -200,6 +238,27 @@ func (s *Server) persisted(w http.ResponseWriter, r *http.Request) bool {
 		return false
 	}
 	return true
+}
+
+// respond writes a backend call's outcome: the error mapped to its status,
+// or v — for a mutation, only once the durability barrier has passed.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, code int, v any, err error, mutation bool) {
+	if err != nil {
+		writeBackendError(w, err)
+		return
+	}
+	if mutation && !s.persisted(w, r) {
+		return
+	}
+	writeJSON(w, code, v)
+}
+
+// crudContext carries the caller's idempotency key to the backend, which
+// in a fleet forwards it to every shard. Only the four CRUD mutations carry
+// it: a delivery day sends many requests per shard, and one shared key
+// would replay the first answer for all of them.
+func crudContext(r *http.Request) context.Context {
+	return WithIdempotencyKey(r.Context(), r.Header.Get(IdempotencyKeyHeader))
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -236,15 +295,8 @@ func (s *Server) handleCreateAudience(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ca, err := s.p.CreateCustomAudience(req.Name, req.PIIHashes)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if !s.persisted(w, r) {
-		return
-	}
-	writeJSON(w, http.StatusCreated, CreateAudienceResponse{ID: ca.ID, MatchedSize: ca.Size})
+	resp, err := s.b.CreateAudience(crudContext(r), req)
+	s.respond(w, r, http.StatusCreated, resp, err, true)
 }
 
 func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
@@ -252,25 +304,8 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	obj, err := platform.ParseObjective(req.Objective)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	special, err := platform.ParseSpecialAdCategory(req.SpecialAdCategory)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	c, err := s.p.CreateCampaign(req.Name, obj, special, req.AccountAge)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if !s.persisted(w, r) {
-		return
-	}
-	writeJSON(w, http.StatusCreated, CreateCampaignResponse{ID: c.ID})
+	resp, err := s.b.CreateCampaign(crudContext(r), req)
+	s.respond(w, r, http.StatusCreated, resp, err, true)
 }
 
 func (s *Server) handleCreateAd(w http.ResponseWriter, r *http.Request) {
@@ -278,58 +313,18 @@ func (s *Server) handleCreateAd(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	img, err := req.Creative.Image.ToFeatures()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	targeting, err := req.Targeting.ToTargeting()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	creative := platform.Creative{
-		Image:    img,
-		Headline: req.Creative.Headline,
-		Body:     req.Creative.Body,
-		LinkURL:  req.Creative.LinkURL,
-	}
-	ad, err := s.p.CreateAd(req.CampaignID, creative, targeting, req.DailyBudgetCents)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if !s.persisted(w, r) {
-		return
-	}
-	writeJSON(w, http.StatusCreated, AdResponse{ID: ad.ID, Status: ad.Status.String()})
+	resp, err := s.b.CreateAd(crudContext(r), req)
+	s.respond(w, r, http.StatusCreated, resp, err, true)
 }
 
 func (s *Server) handleAppeal(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	ad, err := s.p.AppealAd(id)
-	if err != nil {
-		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "unknown ad") {
-			code = http.StatusNotFound
-		}
-		writeError(w, code, err)
-		return
-	}
-	if !s.persisted(w, r) {
-		return
-	}
-	writeJSON(w, http.StatusOK, AdResponse{ID: ad.ID, Status: ad.Status.String()})
+	resp, err := s.b.AppealAd(crudContext(r), r.PathValue("id"))
+	s.respond(w, r, http.StatusOK, resp, err, true)
 }
 
 func (s *Server) handleGetAd(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	ad, err := s.p.Ad(id)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, AdResponse{ID: ad.ID, Status: ad.Status.String()})
+	resp, err := s.b.GetAd(r.Context(), r.PathValue("id"))
+	s.respond(w, r, http.StatusOK, resp, err, false)
 }
 
 func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) {
@@ -341,19 +336,13 @@ func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("workers must be non-negative, got %d", req.Workers))
 		return
 	}
-	err := s.p.RunDayWorkers(req.AdIDs, req.Seed, req.Workers)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if !s.persisted(w, r) {
-		return
-	}
-	writeJSON(w, http.StatusOK, DeliverResponse{Delivered: len(req.AdIDs)})
+	resp, err := s.b.Deliver(r.Context(), req)
+	s.respond(w, r, http.StatusOK, resp, err, true)
 }
 
-func (s *Server) handleInventory(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.p.Inventory())
+func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
+	inv, err := s.b.Inventory(r.Context())
+	s.respond(w, r, http.StatusOK, inv, err, false)
 }
 
 func (s *Server) handleState(w http.ResponseWriter, _ *http.Request) {
@@ -366,61 +355,52 @@ func (s *Server) handleInsights(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("marketing: ad_id query parameter required"))
 		return
 	}
-	// The breakdown parameter selects reporting dimensions, like the real
-	// Insights API's `breakdowns`; omitted dimensions are aggregated out.
-	dims := map[string]bool{"age": true, "gender": true, "region": true}
+	var dims []string
 	if raw := r.URL.Query().Get("breakdown"); raw != "" {
-		dims = map[string]bool{}
-		for _, d := range strings.Split(raw, ",") {
-			switch d {
-			case "age", "gender", "region":
-				dims[d] = true
-			default:
+		dims = strings.Split(raw, ",")
+		for _, d := range dims {
+			if d != "age" && d != "gender" && d != "region" {
 				writeError(w, http.StatusBadRequest, fmt.Errorf("marketing: unknown breakdown dimension %q", d))
 				return
 			}
 		}
 	}
-	st, err := s.p.Insights(adID)
+	resp, err := s.b.Insights(r.Context(), adID, dims)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		writeBackendError(w, err)
 		return
 	}
-	resp := InsightsResponse{
-		AdID:        st.AdID,
-		Impressions: st.Impressions,
-		Reach:       st.Reach,
-		Clicks:      st.Clicks,
-		SpendCents:  st.SpendCents,
-		Hourly:      append([]int(nil), st.HourlySeries...),
+	writeJSON(w, http.StatusOK, PrivatizeInsights(s.privacyConfig(), resp))
+}
+
+// ServeUntilSignal serves srv on ln until the listener fails or SIGINT or
+// SIGTERM arrives. It then drains in-flight requests for up to drain, cuts
+// whatever is left, and returns the drain's and the listener's errors. A
+// second signal during the drain kills the process.
+func ServeUntilSignal(srv *http.Server, ln net.Listener, drain time.Duration) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	select {
+	case err := <-serveErr:
+		return err
+	case <-ctx.Done():
 	}
-	agg := map[BreakdownRow]int{}
-	for k, n := range st.Breakdown {
-		row := BreakdownRow{}
-		if dims["age"] {
-			row.Age = k.Age.String()
-		}
-		if dims["gender"] {
-			row.Gender = k.Gender.String()
-		}
-		if dims["region"] {
-			row.Region = k.Region.String()
-		}
-		agg[row] += n
+	stop()
+	fmt.Printf("signal received, draining in-flight requests (budget %s)...\n", drain)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	var drainErr error
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		// The drain budget ran out, most likely on a delivery day still in
+		// flight. Cut the remaining connections so the caller's own
+		// shutdown (a store flush, the final metrics) still runs.
+		drainErr = fmt.Errorf("drain timed out after %s (in-flight requests cut): %w", drain, err)
+		_ = srv.Close()
 	}
-	for row, n := range agg {
-		row.Impressions = n
-		resp.Breakdown = append(resp.Breakdown, row)
+	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		drainErr = errors.Join(drainErr, err)
 	}
-	sort.Slice(resp.Breakdown, func(i, j int) bool {
-		a, b := resp.Breakdown[i], resp.Breakdown[j]
-		if a.Age != b.Age {
-			return a.Age < b.Age
-		}
-		if a.Gender != b.Gender {
-			return a.Gender < b.Gender
-		}
-		return a.Region < b.Region
-	})
-	writeJSON(w, http.StatusOK, *PrivatizeInsights(s.privacyConfig(), &resp))
+	return drainErr
 }

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -302,11 +303,14 @@ func (p *Platform) Ad(id string) (*Ad, error) {
 	return ad.snapshot(), nil
 }
 
+// ErrUnknownAd marks a lookup of an ad ID the account does not hold.
+var ErrUnknownAd = errors.New("platform: unknown ad")
+
 // adLocked looks up the live ad object; the caller holds p.mu.
 func (p *Platform) adLocked(id string) (*Ad, error) {
 	ad, ok := p.ads[id]
 	if !ok {
-		return nil, fmt.Errorf("platform: unknown ad %q", id)
+		return nil, fmt.Errorf("%w %q", ErrUnknownAd, id)
 	}
 	return ad, nil
 }
