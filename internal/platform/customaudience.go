@@ -2,7 +2,7 @@ package platform
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"github.com/adaudit/impliedidentity/internal/population"
 )
@@ -81,31 +81,39 @@ func (p *Platform) audienceLocked(id string) (*CustomAudience, error) {
 }
 
 // resolveAudience computes the final targeted user set for an ad: the union
-// of its Custom Audiences filtered by the attribute limits. The caller
-// holds p.mu.
+// of its Custom Audiences filtered by the attribute limits, as ascending
+// population indexes (the order downstream seeded RNG consumption depends
+// on). The union is marked in a bitset over the population and read back
+// in index order, so it comes out deduplicated and ascending in linear
+// time with no sort or hash set; a popcount sizes the result up front.
+// The caller holds p.mu.
 func (p *Platform) resolveAudience(t *Targeting) ([]int, error) {
-	inUnion := map[int]bool{}
+	union := make([]uint64, (p.pop.Len()+63)/64)
 	for _, id := range t.CustomAudienceIDs {
 		ca, err := p.audienceLocked(id)
 		if err != nil {
 			return nil, err
 		}
 		for _, idx := range ca.members {
-			inUnion[idx] = true
+			union[idx>>6] |= 1 << (idx & 63)
 		}
 	}
-	var out []int
-	for idx := range inUnion {
-		if t.matchesUser(p.pop.View(idx)) {
-			out = append(out, idx)
+	size := 0
+	for _, word := range union {
+		size += bits.OnesCount64(word)
+	}
+	out := make([]int, 0, size)
+	for w, word := range union {
+		for word != 0 {
+			idx := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if t.matchesUser(p.pop.View(idx)) {
+				out = append(out, idx)
+			}
 		}
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("platform: targeting matches no users")
 	}
-	// Map iteration order is randomized per process; the audience order
-	// feeds seeded RNG consumption downstream, so sort for run-to-run
-	// determinism.
-	sort.Ints(out)
 	return out, nil
 }

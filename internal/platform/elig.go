@@ -1,7 +1,5 @@
 package platform
 
-import "slices"
-
 // eligIndex is a delivery day's eligibility index in CSR form: for every
 // user targeted by at least one active ad, the run-order list of ads that
 // may bid on their slots. It replaces the old adsByUser map[int][]*Ad —
@@ -25,49 +23,56 @@ type eligIndex struct {
 }
 
 // buildEligIndex constructs the index for the run's active ads (run order =
-// slice order). It consumes no randomness and allocates only the three CSR
-// slices plus one transient per-row cursor.
+// slice order). Population indexes are dense in [0, pop.Len()), so it counts
+// degrees in a dense array over [0, max index] instead of sorting: walking
+// that array in index order emits users ascending and the row offsets as
+// prefix sums, and the same array then serves as each user's fill cursor.
+// O(entries + span), no sort or search; it consumes no randomness and
+// allocates the three CSR slices plus the transient degree array.
 func buildEligIndex(active []*Ad) *eligIndex {
-	total := 0
+	total, span := 0, 0
 	for _, ad := range active {
 		total += len(ad.audience)
-	}
-	all := make([]int32, 0, total)
-	for _, ad := range active {
 		for _, idx := range ad.audience {
-			all = append(all, int32(idx))
+			span = max(span, idx+1)
 		}
 	}
-	slices.Sort(all)
-	users := slices.Compact(all)
+	deg := make([]int32, span)
+	rows := 0
+	for _, ad := range active {
+		for _, idx := range ad.audience {
+			if deg[idx] == 0 {
+				rows++
+			}
+			deg[idx]++
+		}
+	}
 
 	e := &eligIndex{
-		users:   users,
-		offsets: make([]int32, len(users)+1),
+		users:   make([]int32, rows),
+		offsets: make([]int32, rows+1),
 		ads:     make([]int32, total),
 	}
-	// Degree count, prefix sums, then a run-order fill with per-row
-	// cursors: each row's ad list comes out in active-slice order because
-	// the outer loop visits ads in run order.
-	deg := make([]int32, len(users))
-	for _, ad := range active {
-		for _, idx := range ad.audience {
-			deg[e.rowOf(int32(idx))]++
+	// Index-order walk: rows come out ascending; deg[idx] becomes the
+	// user's row start, the fill cursor for the run-order pass below.
+	var r, off int32
+	for idx, d := range deg {
+		if d == 0 {
+			continue
 		}
-	}
-	var off int32
-	for r, d := range deg {
+		e.users[r] = int32(idx)
 		e.offsets[r] = off
+		deg[idx] = off
 		off += d
+		r++
 	}
-	e.offsets[len(users)] = off
-	next := deg[:0] // reuse: deg is dead after the prefix sum
-	next = append(next, e.offsets[:len(users)]...)
+	e.offsets[rows] = off
+	// Run-order fill: each row's ad list comes out in active-slice order
+	// because the outer loop visits ads in run order.
 	for i, ad := range active {
 		for _, idx := range ad.audience {
-			r := e.rowOf(int32(idx))
-			e.ads[next[r]] = int32(i)
-			next[r]++
+			e.ads[deg[idx]] = int32(i)
+			deg[idx]++
 		}
 	}
 	return e
@@ -75,13 +80,6 @@ func buildEligIndex(active []*Ad) *eligIndex {
 
 // rows returns the number of targeted users.
 func (e *eligIndex) rows() int { return len(e.users) }
-
-// rowOf returns the row position of a population index; the index must be
-// present.
-func (e *eligIndex) rowOf(user int32) int32 {
-	pos, _ := slices.BinarySearch(e.users, user)
-	return int32(pos)
-}
 
 // adsFor returns row pos's eligible ads as run indexes, in run order.
 func (e *eligIndex) adsFor(pos int32) []int32 {

@@ -98,8 +98,9 @@ func TestEligIndexRandomizedAgainstOracle(t *testing.T) {
 			for len(seen) < n {
 				seen[rng.Intn(200)] = true
 			}
-			// Audiences arrive sorted in production (resolveAudience sorts);
-			// the oracle comparison is order-sensitive, so mirror that.
+			// Audiences arrive ascending in production (resolveAudience emits
+			// indexes in order); the oracle comparison is order-sensitive, so
+			// mirror that.
 			for idx := range seen {
 				audiences[i] = append(audiences[i], idx)
 			}

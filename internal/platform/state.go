@@ -321,10 +321,16 @@ func (p *Platform) applyAudienceLocked(as *AudienceState) error {
 // machine-perceived creative and the folded eAR coefficients from the
 // current models; the caller holds p.mu.
 func (p *Platform) applyAdLocked(as *AdState) error {
-	for _, idx := range as.Audience {
+	for i, idx := range as.Audience {
 		if idx < 0 || idx >= p.pop.Len() {
 			return fmt.Errorf("platform: ad %s audience index %d outside population of %d (world seed mismatch?)",
 				as.ID, idx, p.pop.Len())
+		}
+		// CreateAd stores audiences strictly ascending and the day's CSR
+		// index relies on it: a repeated index would bid twice per auction.
+		if i > 0 && idx <= as.Audience[i-1] {
+			return fmt.Errorf("platform: ad %s audience index %d at position %d not above %d (audience must be strictly ascending)",
+				as.ID, idx, i, as.Audience[i-1])
 		}
 	}
 	ad := &Ad{

@@ -135,3 +135,29 @@ func TestApplyMutationRejectsForeignWorld(t *testing.T) {
 		t.Fatal("failed mutation must not install the audience")
 	}
 }
+
+func TestApplyMutationRejectsUnorderedAdAudience(t *testing.T) {
+	p, _ := newTestPlatform(t, 104)
+	cases := map[string][]int{
+		"unsorted":          {3, 9, 5},
+		"duplicated":        {3, 5, 5, 9},
+		"duplicated_first":  {4, 4},
+		"descending_at_end": {0, 1, 2, 1},
+	}
+	for name, audience := range cases {
+		t.Run(name, func(t *testing.T) {
+			id := "ad-" + name
+			m := Mutation{Kind: MutAdCreated, Ad: &AdState{ID: id, Status: StatusActive, Audience: audience}}
+			if err := p.ApplyMutation(&m); err == nil {
+				t.Fatalf("audience %v: want error", audience)
+			}
+			if _, err := p.Ad(id); err == nil {
+				t.Fatal("failed mutation must not install the ad")
+			}
+		})
+	}
+	ok := Mutation{Kind: MutAdCreated, Ad: &AdState{ID: "ad-ascending", Status: StatusActive, Audience: []int{0, 3, 5, 9}}}
+	if err := p.ApplyMutation(&ok); err != nil {
+		t.Fatalf("strictly ascending audience: %v", err)
+	}
+}

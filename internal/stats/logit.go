@@ -128,12 +128,23 @@ func Logit(names []string, x *Matrix, y []float64, opt LogitOptions) (*LogitResu
 			grad[0] += r
 			hr0 := hess.Row(0)
 			hr0[0] += w
+			// On a finite row a zero feature adds only ±0 terms to its
+			// gradient entry and Hessian row, which leave the
+			// +0-initialised sums bit-for-bit unchanged, so the sparse
+			// design skips them. wva*row[b] is the same product as the
+			// unhoisted w*va*row[b].
 			for a, va := range row {
+				if va == 0 {
+					continue
+				}
 				grad[a+1] += r * va
-				hr0[a+1] += w * va
-				ha := hess.Row(a + 1)
-				for b := a; b < len(row); b++ {
-					ha[b+1] += w * va * row[b]
+				wva := w * va
+				hr0[a+1] += wva
+				tail := row[a:]
+				ha := hess.Row(a + 1)[a+1:]
+				ha = ha[:len(tail)]
+				for b, vb := range tail {
+					ha[b] += wva * vb
 				}
 			}
 		}
